@@ -22,6 +22,7 @@ __all__ = [
     "ClusterCandidate",
     "enumerate_candidates",
     "build_weight_matrix",
+    "membership",
     "prune_dominated",
 ]
 
@@ -82,16 +83,11 @@ def enumerate_candidates(
         )
 
     out: list[ClusterCandidate] = []
-    seen: set[tuple[int, tuple[int, ...]]] = set()
     for head in range(n):
         # Stable neighbor order: by squared distance, then node index.
         order = [j for j in sorted(range(n), key=lambda j: (topology.d_sq[head, j], j)) if j != head]
         for size in range(size_min, size_max + 1):
             members = tuple(sorted([head] + order[: size - 1]))
-            key = (head, members)
-            if key in seen:
-                continue
-            seen.add(key)
             out.append(ClusterCandidate(head=head, members=members))
     return out
 
@@ -111,6 +107,15 @@ def build_weight_matrix(candidate: ClusterCandidate, n: int) -> np.ndarray:
     idx = np.fromiter(candidate.members, dtype=int)
     w[np.ix_(idx, idx)] = 1.0 / candidate.size
     return w
+
+
+def membership(candidates: Sequence[ClusterCandidate], n: int) -> np.ndarray:
+    """0/1 matrix of shape (C, n) whose row i marks candidate i's members."""
+    rows = np.repeat(np.arange(len(candidates)), [cand.size for cand in candidates])
+    cols = np.array([j for cand in candidates for j in cand.members], dtype=int)
+    m = np.zeros((len(candidates), n))
+    m[rows, cols] = 1.0
+    return m
 
 
 def prune_dominated(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,8 +18,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .candidates import enumerate_candidates, prune_dominated
-from .energy import EnergyParams, candidate_cost_l1
+from .candidates import ClusterCandidate, enumerate_candidates, prune_dominated
+from .energy import EnergyParams, cost_rows
 from .errors import ConfigurationError
 from .optimizer import OptimizerOptions, optimize
 from .simulator import AveragedTrace, SimulationScenario, monte_carlo
@@ -28,6 +29,7 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "config_from_dict",
+    "prepare_pool",
     "run_sweep",
     "write_trace_csv",
     "write_summary_json",
@@ -40,6 +42,7 @@ EXIT_INFEASIBLE = 2
 EXIT_IO_ERROR = 3
 
 SUPPORT_FLOOR = 1e-6
+_PRICE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -65,11 +68,18 @@ class ExperimentConfig:
     init_high: float = 30.0
     output_dir: str = "results"
 
-    def size_max(self) -> int:
-        return self.n_nodes if self.cluster_size_max is None else self.cluster_size_max
+    def size_max(self, n_nodes: int | None = None) -> int:
+        """Largest cluster size; unset means all ``n_nodes`` (default: the config's)."""
+        if self.cluster_size_max is not None:
+            return self.cluster_size_max
+        return self.n_nodes if n_nodes is None else n_nodes
 
 
 _CONFIG_KEYS = set(ExperimentConfig.__dataclass_fields__)
+_FLOAT_KEYS = (
+    "area_side", "epsilon", "error_threshold", "eps_amp", "e_elec", "k_bits",
+    "init_low", "init_high",
+)
 
 
 def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
@@ -88,6 +98,11 @@ def _validate(config: ExperimentConfig) -> None:
     def fail(key: str, message: str) -> None:
         raise ConfigurationError(f"config key '{key}': {message}")
 
+    for key in _FLOAT_KEYS:
+        if not math.isfinite(getattr(config, key)):
+            fail(key, f"must be finite, got {getattr(config, key)}")
+    if not all(math.isfinite(a) for a in config.alphas):
+        fail("alphas", f"must all be finite, got {list(config.alphas)}")
     if config.n_nodes < 2:
         fail("n_nodes", f"must be >= 2, got {config.n_nodes}")
     if config.area_side <= 0:
@@ -118,6 +133,8 @@ def _validate(config: ExperimentConfig) -> None:
             fail(key, f"must be >= 0, got {getattr(config, key)}")
     if config.init_low > config.init_high:
         fail("init_low", f"must be <= init_high, got {config.init_low}")
+    if config.init_low == config.init_high == 0:
+        fail("init_high", "must differ from 0 when init_low is 0 (all-zero start)")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -155,31 +172,47 @@ def write_summary_json(results: list[dict[str, Any]], path: Path) -> None:
     path.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
 
 
-def _build_topology(config: ExperimentConfig) -> Topology:
-    if config.topology_file is not None:
+def prepare_pool(
+    topology: Topology, size_min: int, size_max: int, params: EnergyParams
+) -> tuple[list[ClusterCandidate], np.ndarray, np.ndarray]:
+    """Enumerate the candidates, price each once, and prune dominated twins.
+
+    Returns ``(enumerated, costs, kept_indices)``: ``costs[i]`` is the total
+    activation energy of ``enumerated[i]``, and ``kept_indices`` lists the
+    survivors of ``prune_dominated`` in enumeration order.
+    """
+    enumerated = enumerate_candidates(topology, size_min, size_max)
+    # Priced in blocks of rows so that the (C, n) cost matrix never exists whole.
+    costs = np.concatenate([
+        cost_rows(enumerated[i : i + _PRICE_BLOCK], topology, params).sum(axis=1)
+        for i in range(0, len(enumerated), _PRICE_BLOCK)
+    ])
+    position = {cand: i for i, cand in enumerate(enumerated)}
+    kept = [position[cand] for cand in prune_dominated(enumerated, costs)]
+    return enumerated, costs, np.array(kept, dtype=int)
+
+
+def _config_pool(
+    config: ExperimentConfig,
+) -> tuple[Topology, list[ClusterCandidate], np.ndarray, np.ndarray]:
+    """The config's topology followed by its ``prepare_pool`` output."""
+    if config.topology_file is None:
+        topology = generate_topology(config.n_nodes, config.area_side, config.topology_seed)
+    else:
         topology = load_topology(config.topology_file)
-        if config.size_max() > topology.n:
-            raise ConfigurationError(
-                f"config key 'cluster_size_max': must be <= number of nodes in "
-                f"topology file ({topology.n}), got {config.size_max()}"
-            )
-        return topology
-    return generate_topology(config.n_nodes, config.area_side, config.topology_seed)
+    params = EnergyParams(
+        eps_amp=config.eps_amp, e_elec=config.e_elec, k_bits=config.k_bits
+    )
+    # enumerate_candidates rejects a cluster_size_max above the node count.
+    pool = prepare_pool(topology, config.cluster_size_min, config.size_max(topology.n), params)
+    return (topology, *pool)
 
 
 def run_sweep(config: ExperimentConfig) -> int:
     """Run the full alpha sweep; returns the process exit code."""
-    topology = _build_topology(config)
-    params = EnergyParams(
-        eps_amp=config.eps_amp, e_elec=config.e_elec, k_bits=config.k_bits
-    )
-
-    enumerated = enumerate_candidates(
-        topology, config.cluster_size_min, config.size_max()
-    )
-    all_costs = [candidate_cost_l1(c, topology, params) for c in enumerated]
-    kept = prune_dominated(enumerated, all_costs)
-    costs = np.array([candidate_cost_l1(c, topology, params) for c in kept])
+    topology, enumerated, all_costs, kept_indices = _config_pool(config)
+    kept = [enumerated[i] for i in kept_indices]
+    costs = all_costs[kept_indices]
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,19 +288,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_candidates(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    topology = _build_topology(config)
-    params = EnergyParams(
-        eps_amp=config.eps_amp, e_elec=config.e_elec, k_bits=config.k_bits
-    )
-    enumerated = enumerate_candidates(
-        topology, config.cluster_size_min, config.size_max()
-    )
-    all_costs = [candidate_cost_l1(c, topology, params) for c in enumerated]
-    kept = {id(c) for c in prune_dominated(enumerated, all_costs)}
+    _, enumerated, costs, kept_indices = _config_pool(config)
+    kept = set(kept_indices.tolist())
 
     print(f"{'kept':>4}  {'head':>4}  {'size':>4}  {'cost_l1':>12}  members")
-    for cand, cost in zip(enumerated, all_costs):
-        mark = "*" if id(cand) in kept else ""
+    for i, (cand, cost) in enumerate(zip(enumerated, costs)):
+        mark = "*" if i in kept else ""
         print(f"{mark:>4}  {cand.head:>4}  {cand.size:>4}  {cost:>12.4f}  {list(cand.members)}")
     print(f"{len(enumerated)} enumerated, {len(kept)} kept")
     return EXIT_OK

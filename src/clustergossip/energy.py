@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .candidates import ClusterCandidate
+from .candidates import ClusterCandidate, membership
 from .topology import Topology
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "cost_fc",
     "cost_bc",
     "candidate_cost_l1",
+    "cost_rows",
     "expected_cost",
 ]
 
@@ -100,6 +101,22 @@ def candidate_cost_l1(
     return float((cost_fc(candidate, topology, params) + cost_bc(candidate, topology, params)).sum())
 
 
+def cost_rows(
+    candidates: Sequence[ClusterCandidate], topology: Topology, params: EnergyParams
+) -> np.ndarray:
+    """Per-node two-phase costs of all candidates, shape (C, n).
+
+    Row i equals ``cost_fc + cost_bc`` of candidate i, entry for entry.
+    """
+    heads = np.array([cand.head for cand in candidates], dtype=int)
+    d_sq, k = topology.d_sq[heads], params.k_bits
+    rows = k * params.e_elec + params.eps_amp * k * d_sq + k * params.e_elec
+    rows *= membership(candidates, topology.n)
+    # Energy grows with distance, so the largest member entry is the broadcast.
+    rows[np.arange(heads.size), heads] = rows.max(axis=1)
+    return rows
+
+
 def expected_cost(
     p: np.ndarray,
     candidates: Sequence[ClusterCandidate],
@@ -116,8 +133,4 @@ def expected_cost(
         raise ValueError(
             f"p has shape {p.shape}, expected ({len(candidates)},)"
         )
-    total = np.zeros(topology.n)
-    for weight, cand in zip(p, candidates):
-        if weight != 0.0:
-            total += weight * (cost_fc(cand, topology, params) + cost_bc(cand, topology, params))
-    return total
+    return p @ cost_rows(candidates, topology, params)

@@ -16,10 +16,11 @@ with geometrically shrinking step scale. The first phase locates the
 active region; later phases shrink the oscillation band around the optimum
 so the best iterate is accurate to ~1e-4 in objective on small instances,
 which a single 1/sqrt(t) schedule does not reliably reach within the same
-budget. Every single-candidate vertex is also evaluated outright, so the
-result is never worse than any vertex that satisfies the connectivity
-margin; in particular a perfect-mixing candidate (all nodes in one
-cluster) is found exactly.
+budget. Every single-candidate vertex is also evaluated, in closed form:
+a lone cluster with s < n members leaves the other nodes fixed (xi = 1),
+and the all-node cluster has W = J (xi = 0), so it is found exactly.
+W(p) is built from the (C, n) 0/1 membership matrix M and the cluster
+sizes s as ``(sum p) I - diag(M'p) + M' diag(p/s) M``, also off the simplex.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .candidates import ClusterCandidate, build_weight_matrix
+from .candidates import ClusterCandidate, membership
 from .errors import NumericalError
 
 __all__ = [
@@ -104,12 +105,17 @@ class ActivationDistribution:
     feasible: bool
 
 
-def _weight_stack(candidates: Sequence[ClusterCandidate], n: int) -> np.ndarray:
-    """Stack of per-candidate averaging matrices, shape (C, n, n)."""
-    stack = np.empty((len(candidates), n, n))
-    for i, cand in enumerate(candidates):
-        stack[i] = build_weight_matrix(cand, n)
-    return stack
+def _mixture(p: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """W(p) from the membership factors; see the module docstring."""
+    w = (members.T * (p / sizes)) @ members
+    w[np.diag_indices_from(w)] += p.sum() - p @ members
+    return w
+
+
+def _spectral_subgradient(v: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``v' W_i v`` for every candidate i, as ``|v|^2 - (M v^2)_i + (M v)_i^2 / s_i``."""
+    mv = members @ v
+    return v @ v - members @ (v * v) + mv * mv / sizes
 
 
 def mixing_matrix(
@@ -119,7 +125,8 @@ def mixing_matrix(
     p = np.asarray(p, dtype=float)
     if p.shape != (len(candidates),):
         raise ValueError(f"p has shape {p.shape}, expected ({len(candidates)},)")
-    return np.tensordot(p, _weight_stack(candidates, n), axes=1)
+    members = membership(candidates, n)
+    return _mixture(p, members, members.sum(axis=1))
 
 
 def symmetric_top_eigenpair(
@@ -169,10 +176,11 @@ def objective_subgradient(
     gradient; under multiplicity any top eigenvector still gives a valid
     subgradient.
     """
-    stack = _weight_stack(candidates, n)
-    w = np.tensordot(np.asarray(p, dtype=float), stack, axes=1)
-    _, v = symmetric_top_eigenpair(w - np.full((n, n), 1.0 / n))
-    return (stack @ v) @ v + alpha * np.asarray(costs, dtype=float)
+    members = membership(candidates, n)
+    sizes = members.sum(axis=1)
+    w = _mixture(np.asarray(p, dtype=float), members, sizes)
+    _, v = symmetric_top_eigenpair(w - 1.0 / n)
+    return _spectral_subgradient(v, members, sizes) + alpha * np.asarray(costs, dtype=float)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -192,18 +200,6 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     rho = np.nonzero(u - shifted / ks > 0)[0][-1]
     tau = shifted[rho] / (rho + 1.0)
     return np.maximum(v - tau, 0.0)
-
-
-def _clean_support(p: np.ndarray, floor: float) -> np.ndarray:
-    """Zero probabilities below floor and renormalize."""
-    q = p.copy()
-    q[q < floor] = 0.0
-    total = q.sum()
-    if total <= 0.0:
-        q[:] = 0.0
-        q[int(np.argmax(p))] = 1.0
-        return q
-    return q / total
 
 
 def optimize(
@@ -242,14 +238,12 @@ def optimize(
         raise ValueError("costs must be finite and nonnegative")
 
     c_count = len(candidates)
-    stack = _weight_stack(candidates, n)
-    flat = stack.reshape(c_count, n * n)
-    j_flat = np.full(n * n, 1.0 / n)
+    members = membership(candidates, n)
+    sizes = members.sum(axis=1)
     alpha = options.alpha
 
     def evaluate(p: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-        a = (flat.T @ p - j_flat).reshape(n, n)
-        eigenvalues, eigenvectors = np.linalg.eigh(a)
+        eigenvalues, eigenvectors = np.linalg.eigh(_mixture(p, members, sizes) - 1.0 / n)
         xi_val = min(max(float(eigenvalues[-1]), 0.0), 1.0)
         cost_val = float(costs_arr @ p)
         obj = xi_val + alpha * cost_val
@@ -272,13 +266,12 @@ def optimize(
 
     note(obj, xi_val, p)
 
-    # Vertex sweep: cheap, exact at the corners of the simplex.
-    for i in range(c_count):
-        vertex_xi = min(max(float(np.linalg.eigvalsh(stack[i] - j_flat.reshape(n, n))[-1]), 0.0), 1.0)
-        vertex_obj = vertex_xi + alpha * costs_arr[i]
-        e = np.zeros(c_count)
-        e[i] = 1.0
-        note(vertex_obj, vertex_xi, e)
+    # Vertex sweep in closed form: a lone cluster with s < n has xi = 1, so it can
+    # neither meet the margin nor beat the start; only all-node ones (xi = 0) count.
+    for i in np.flatnonzero(sizes == n):
+        vertex = np.zeros(c_count)
+        vertex[i] = 1.0
+        note(alpha * costs_arr[i], 0.0, vertex)
 
     def progress() -> float:
         # Comparable scalar that improves monotonically: once some iterate
@@ -291,7 +284,7 @@ def optimize(
         anchor = progress()
         since_anchor = 0
         for t in range(1, per_phase + 1):
-            spectral = (stack @ v) @ v
+            spectral = _spectral_subgradient(v, members, sizes)
             if xi_val > margin:
                 g = spectral
             else:
@@ -309,21 +302,15 @@ def optimize(
         p = (best_feas_p if best_feas_p is not None else best_xi_p).copy()
         obj, xi_val, _, v = evaluate(p)
 
-    if best_feas_p is not None:
-        final_p = _clean_support(best_feas_p, options.support_floor)
-        obj, xi_val, cost_val, _ = evaluate(final_p)
-        return ActivationDistribution(
-            p=final_p,
-            xi=xi_val,
-            expected_cost_l1=cost_val,
-            objective=obj,
-            feasible=xi_val <= margin,
-        )
-
-    fallback = _clean_support(best_xi_p, options.support_floor)
-    obj, xi_val, cost_val, _ = evaluate(fallback)
+    # Zero sub-floor probabilities and renormalize (all-zero: keep the largest).
+    best = best_feas_p if best_feas_p is not None else best_xi_p
+    final_p = np.where(best < options.support_floor, 0.0, best)
+    if final_p.sum() <= 0.0:
+        final_p[np.argmax(best)] = 1.0
+    final_p /= final_p.sum()
+    obj, xi_val, cost_val, _ = evaluate(final_p)
     return ActivationDistribution(
-        p=fallback,
+        p=final_p,
         xi=xi_val,
         expected_cost_l1=cost_val,
         objective=obj,

@@ -70,6 +70,8 @@ class Topology:
     def from_positions(cls, positions) -> "Topology":
         """Build a topology from explicit coordinates, recomputing d_sq."""
         pos = np.array(positions, dtype=float)
+        if not np.all(np.isfinite(pos)):
+            raise ConfigurationError("positions must all be finite")
         topo = cls(positions=pos, d_sq=squared_distance_matrix(pos))
         pos.setflags(write=False)
         topo.d_sq.setflags(write=False)

@@ -32,12 +32,11 @@ from clustergossip import (
     mse_bound_check,
     objective_subgradient,
     optimize,
-    prune_dominated,
     relative_error,
     sample_cluster,
     xi,
 )
-from clustergossip.cli import EXIT_OK, config_from_dict, run_sweep
+from clustergossip.cli import EXIT_OK, config_from_dict, prepare_pool, run_sweep
 
 FIELD_NODES = 30
 FIELD_SIDE = 50.0
@@ -54,11 +53,8 @@ LARGE_ALPHAS = (0.0, 8.8e-5, 1.6e-4)
 
 
 def _prepared(topology, size_min, size_max):
-    pool = enumerate_candidates(topology, size_min, size_max)
-    pool_costs = [candidate_cost_l1(c, topology, ENERGY) for c in pool]
-    kept = prune_dominated(pool, pool_costs)
-    costs = np.array([candidate_cost_l1(c, topology, ENERGY) for c in kept])
-    return kept, costs
+    enumerated, costs, kept = prepare_pool(topology, size_min, size_max, ENERGY)
+    return [enumerated[i] for i in kept], costs[kept]
 
 
 def _sweep(topology, size_min, size_max, alphas):

@@ -8,10 +8,7 @@ from clustergossip import (
     AveragedTrace,
     ConfigurationError,
     EnergyParams,
-    candidate_cost_l1,
-    enumerate_candidates,
     generate_topology,
-    prune_dominated,
     xi,
 )
 from clustergossip.cli import (
@@ -23,6 +20,7 @@ from clustergossip.cli import (
     config_from_dict,
     load_config,
     main,
+    prepare_pool,
     run_sweep,
     write_trace_csv,
 )
@@ -90,6 +88,10 @@ def test_config_defaults():
         ({"eps_amp": -1.0}, "eps_amp"),
         ({"init_low": 5.0, "init_high": 1.0}, "init_low"),
         ({"n_nodes": 1}, "n_nodes"),
+        ({"area_side": float("nan")}, "area_side"),
+        ({"alphas": [float("nan")]}, "alphas"),
+        ({"init_low": 0.0, "init_high": 0.0}, "init_high"),
+        ({"error_threshold": float("inf")}, "error_threshold"),
     ],
 )
 def test_config_rejections_name_the_key(overrides, key):
@@ -198,9 +200,8 @@ def test_run_sweep_alpha_zero_prefers_all_node_cluster(tmp_path):
 
     # sanity: the sweep's xi beats every single-candidate distribution
     topo = generate_topology(8, 20.0, 3)
-    cands = enumerate_candidates(topo, 2, 8)
-    costs = [candidate_cost_l1(c, topo, EnergyParams()) for c in cands]
-    kept = prune_dominated(cands, costs)
+    enumerated, _, kept_indices = prepare_pool(topo, 2, 8, EnergyParams())
+    kept = [enumerated[i] for i in kept_indices]
     for i in range(len(kept)):
         e = np.zeros(len(kept))
         e[i] = 1.0
@@ -286,3 +287,27 @@ def test_candidates_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "enumerated" in out
     assert "head" in out
+
+
+def test_topology_file_sizes_and_positions(tmp_path, capsys):
+    """An unset cluster_size_max spans the topology file's nodes, an explicit
+    one above them is rejected, and so is a non-finite position."""
+    topo_file = tmp_path / "square.json"
+    topo_file.write_text(json.dumps({"positions": [[0, 0], [1, 0], [0, 1], [1, 1]]}))
+    path = _write_config(
+        tmp_path, topology_file=str(topo_file), cluster_size_max=None, alphas=[0.0], runs=5
+    )
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+    assert main(["run", "--config", str(path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary[0]["support"][0]["members"] == [0, 1, 2, 3]
+    capsys.readouterr()
+
+    path = _write_config(tmp_path, topology_file=str(topo_file), cluster_size_max=5)
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert "cluster_size_max" in capsys.readouterr().err
+
+    topo_file.write_text(json.dumps({"positions": [[0, 0], [1, 0], [float("nan"), 1]]}))
+    path = _write_config(tmp_path, topology_file=str(topo_file), cluster_size_max=None)
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert "finite" in capsys.readouterr().err

@@ -10,8 +10,11 @@ from clustergossip import (
     cost_bc,
     cost_fc,
     expected_cost,
+    generate_topology,
+    prune_dominated,
     transmission_energy,
 )
+from clustergossip.cli import prepare_pool
 
 
 def test_transmission_energy_defaults_is_squared_distance():
@@ -163,3 +166,29 @@ def test_larger_cluster_never_cheaper():
         if prev is not None:
             assert cost >= prev - 1e-12
         prev = cost
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 40),
+    st.booleans(),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 5.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_prepare_pool_matches_scalar_oracles(seed, n, default, eps_amp, e_elec, k_bits):
+    """Vectorized pricing equals candidate_cost_l1, and the kept set equals
+    prune_dominated over the scalar costs."""
+    rng = np.random.default_rng(seed)
+    topo = generate_topology(n, float(rng.uniform(1.0, 100.0)), seed)
+    params = EnergyParams() if default else EnergyParams(eps_amp, e_elec, k_bits)
+    size_min = int(rng.integers(2, n + 1))
+    size_max = int(rng.integers(size_min, n + 1))
+    enumerated, costs, kept = prepare_pool(topo, size_min, size_max, params)
+    scalar = np.array([candidate_cost_l1(c, topo, params) for c in enumerated])
+    if default:
+        np.testing.assert_array_equal(costs, scalar)
+    else:
+        np.testing.assert_allclose(costs, scalar, rtol=1e-12, atol=0.0)
+    assert [enumerated[i] for i in kept] == prune_dominated(enumerated, list(scalar))

@@ -6,6 +6,7 @@ from clustergossip import (
     ClusterCandidate,
     EnergyParams,
     Topology,
+    build_weight_matrix,
     candidate_cost_l1,
     enumerate_candidates,
     generate_topology,
@@ -13,10 +14,10 @@ from clustergossip import (
     objective_subgradient,
     optimize,
     project_simplex,
-    prune_dominated,
     symmetric_top_eigenpair,
     xi,
 )
+from clustergossip.cli import prepare_pool
 from clustergossip.optimizer import OptimizerOptions
 
 
@@ -98,6 +99,34 @@ def test_xi_is_convex_along_segments(seed):
     assert xi(mid, cands, n) <= lam * xi(p, cands, n) + (1.0 - lam) * xi(
         q, cands, n
     ) + 1e-9
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 40), st.floats(0.5, 1.5))
+@settings(max_examples=40, deadline=None)
+def test_factored_model_matches_dense_oracle(seed, n, scale):
+    """mixing_matrix and objective_subgradient agree with the dense
+    sum of per-candidate averaging matrices, on and off the simplex, and
+    a lone cluster's xi is 1 unless it spans every node (then 0)."""
+    rng = np.random.default_rng(seed)
+    topo = generate_topology(n, 30.0, seed)
+    cands = enumerate_candidates(topo, 2, n)
+    p = scale * rng.dirichlet(np.ones(len(cands)))
+    costs = rng.uniform(0.0, 100.0, size=len(cands))
+    stack = np.array([build_weight_matrix(c, n) for c in cands])
+    dense = np.tensordot(p, stack, axes=1)
+    np.testing.assert_allclose(mixing_matrix(p, cands, n), dense, rtol=0.0, atol=1e-12)
+
+    evals, evecs = np.linalg.eigh(dense - 1.0 / n)
+    if n > 2 and evals[-1] - evals[-2] > 1e-2:  # the top eigenvector is well defined
+        v = evecs[:, -1]
+        expected = np.einsum("j,ijk,k->i", v, stack, v) + 1e-4 * costs
+        g = objective_subgradient(p, cands, costs, 1e-4, n)
+        np.testing.assert_allclose(g, expected, rtol=0.0, atol=1e-12)
+
+    full = [i for i, c in enumerate(cands) if c.size == n]
+    for i in [*rng.choice(len(cands), size=min(5, len(cands)), replace=False), *full]:
+        top = np.linalg.eigvalsh(stack[i] - 1.0 / n)[-1]
+        assert top == pytest.approx(float(cands[i].size < n), abs=1e-12)
 
 
 def test_top_eigenpair_identity():
@@ -253,11 +282,8 @@ def test_optimize_regularization_path_monotone():
     """More weight on cost can only trade mixing speed for cheaper
     clusters: expected cost falls, xi rises (up to solver tolerance)."""
     topo = generate_topology(10, 30.0, seed=4)
-    cands = prune_dominated(
-        enumerate_candidates(topo, 2, 10),
-        [candidate_cost_l1(c, topo, EnergyParams()) for c in enumerate_candidates(topo, 2, 10)],
-    )
-    costs = np.array([candidate_cost_l1(c, topo, EnergyParams()) for c in cands])
+    enumerated, all_costs, kept = prepare_pool(topo, 2, 10, EnergyParams())
+    cands, costs = [enumerated[i] for i in kept], all_costs[kept]
     results = [
         optimize(cands, costs, 10, OptimizerOptions(alpha=a))
         for a in (0.0, 5e-5, 2e-4)

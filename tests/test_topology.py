@@ -106,3 +106,6 @@ def test_load_topology_rejects_garbage(tmp_path):
     path.write_text("not json")
     with pytest.raises(ConfigurationError):
         load_topology(path)
+    path.write_text(json.dumps({"positions": [[0.0, 0.0], [1.0, float("inf")]]}))
+    with pytest.raises(ConfigurationError, match="finite"):
+        load_topology(path)
