@@ -76,10 +76,22 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = set(ExperimentConfig.__dataclass_fields__)
+_INT_KEYS = (
+    "n_nodes", "topology_seed", "cluster_size_min", "cluster_size_max", "runs",
+    "max_iterations", "sim_base_seed",
+)
 _FLOAT_KEYS = (
     "area_side", "epsilon", "error_threshold", "eps_amp", "e_elec", "k_bits",
     "init_low", "init_high",
 )
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
@@ -87,7 +99,7 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigurationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    if "alphas" in data:
+    if isinstance(data.get("alphas"), list):
         data = {**data, "alphas": tuple(data["alphas"])}
     config = ExperimentConfig(**data)
     _validate(config)
@@ -98,11 +110,24 @@ def _validate(config: ExperimentConfig) -> None:
     def fail(key: str, message: str) -> None:
         raise ConfigurationError(f"config key '{key}': {message}")
 
+    for key in _INT_KEYS:
+        value = getattr(config, key)
+        if not _is_int(value) and not (key == "cluster_size_max" and value is None):
+            fail(key, f"must be an integer, got {value!r}")
     for key in _FLOAT_KEYS:
-        if not math.isfinite(getattr(config, key)):
-            fail(key, f"must be finite, got {getattr(config, key)}")
-    if not all(math.isfinite(a) for a in config.alphas):
-        fail("alphas", f"must all be finite, got {list(config.alphas)}")
+        if not _is_real(getattr(config, key)) or not math.isfinite(getattr(config, key)):
+            fail(key, f"must be a finite number, got {getattr(config, key)!r}")
+    if not isinstance(config.alphas, tuple) or not all(
+        _is_real(a) and math.isfinite(a) for a in config.alphas
+    ):
+        fail("alphas", f"must be a list of finite numbers, got {config.alphas!r}")
+    for key in ("topology_file", "output_dir"):
+        value = getattr(config, key)
+        if not isinstance(value, str) and not (key == "topology_file" and value is None):
+            fail(key, f"must be a string, got {value!r}")
+    for key in ("topology_seed", "sim_base_seed"):
+        if getattr(config, key) < 0:
+            fail(key, f"must be >= 0, got {getattr(config, key)}")
     if config.n_nodes < 2:
         fail("n_nodes", f"must be >= 2, got {config.n_nodes}")
     if config.area_side <= 0:
@@ -232,6 +257,7 @@ def run_sweep(config: ExperimentConfig) -> int:
             "support": _support(result.p, kept),
             "mean_iterations_to_threshold": None,
             "mean_energy_at_threshold": None,
+            "terminated_runs": None,
         }
         if result.feasible:
             scenario = SimulationScenario(
@@ -248,6 +274,7 @@ def run_sweep(config: ExperimentConfig) -> int:
             write_trace_csv(averaged, alpha, out_dir / f"trace_alpha={_fmt(alpha)}.csv")
             entry["mean_iterations_to_threshold"] = averaged.mean_iterations_to_threshold
             entry["mean_energy_at_threshold"] = averaged.mean_energy_at_threshold
+            entry["terminated_runs"] = averaged.terminated_runs
         else:
             any_infeasible = True
             entry["support"] = []
@@ -276,6 +303,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.output_dir is not None:
         config = replace(config, output_dir=args.output_dir)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         config = replace(config, sim_base_seed=args.seed)
     return run_sweep(config)
 

@@ -31,6 +31,11 @@ __all__ = [
     "mse_bound_check",
 ]
 
+# monte_carlo holds this many runs' states, streams and draw blocks at once;
+# each run's uniforms come in blocks that start small, as most runs stop early.
+_CHUNK_RUNS = 250
+_FIRST_BLOCK, _MAX_BLOCK = 4, 256
+
 
 @dataclass(frozen=True)
 class NetworkState:
@@ -173,58 +178,104 @@ def run_trial(
     )
 
 
+def _run_chunk(
+    scenario: SimulationScenario, seeds: range, cumulative: np.ndarray, tables: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Advance one ``run_trial`` per seed together, slot by slot, on one state array.
+
+    Returns the (2, slots) per-slot sums of error and energy, in which a finished
+    run holds its final values; each run's iterations and final energy; and how
+    many runs crossed the threshold.
+    """
+    size_of, offset, flat, costs = tables
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    low, high = scenario.init_low, scenario.init_high
+    initial = [draw_initial_state(scenario.n, low, high, rng) for rng in rngs]
+    error = np.array([relative_error(state, state) for state in initial])
+    y = np.array([state.y for state in initial])
+    mean0, denom = np.array([(state.y.mean(), state.y @ state.y) for state in initial]).T
+    energy = np.zeros(len(rngs))
+    sums = [(error.sum(), 0.0)]
+    stop = np.where(error < scenario.threshold, 0, scenario.max_iters)
+    live = np.flatnonzero(error >= scenario.threshold)
+    width = used = 0
+    for t in range(1, scenario.max_iters + 1):
+        if live.size == 0:
+            break
+        if used == width:
+            # Generator.random(k) yields the doubles of k scalar random() calls.
+            width, used = min(2 * width, _MAX_BLOCK) if width else _FIRST_BLOCK, 0
+            block = np.empty((len(rngs), width))
+            for r in live:
+                rngs[r].random(out=block[r])
+        drawn = np.searchsorted(cumulative, block[live, used], side="right")
+        drawn = np.minimum(drawn, cumulative.size - 1)
+        used += 1
+        # One gather, row mean and scatter per cluster size: the same pairwise
+        # sums as consensus_step's y[idx].mean(), which zero padding would change.
+        sizes = size_of[drawn]
+        for s in np.flatnonzero(np.bincount(sizes)).tolist():
+            pick = sizes == s
+            rows, cols = live[pick][:, None], flat[offset[drawn[pick], None] + np.arange(s)]
+            y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / s
+        # A batched matmul rounds exactly as relative_error's eps @ eps.
+        eps = y[live] - mean0[live, None]
+        error[live] = np.matmul(eps[:, None, :], eps[:, :, None])[:, 0, 0] / denom[live]
+        energy[live] += costs[drawn]
+        sums.append((error.sum(), energy.sum()))
+        crossed = error[live] < scenario.threshold
+        stop[live[crossed]] = t
+        live = live[~crossed]
+    return np.array(sums).T, stop, energy, len(rngs) - live.size
+
+
 def monte_carlo(
     scenario: SimulationScenario, runs: int, base_seed: int
 ) -> AveragedTrace:
     """Average independent trials, run r seeded with base_seed + r.
 
-    Each run draws its own initial state from its stream, then simulates.
-    Shorter traces are right-extended as constants before the pointwise
-    mean, so every recorded slot averages over all runs.
+    Each run draws its own initial state from its stream, then follows the path
+    ``run_trial`` gives it. Runs advance together in chunks of ``_CHUNK_RUNS``,
+    so memory is O(runs + chunk * n + slots). A finished run holds its final
+    error and energy, i.e. is right-extended as constants in the mean.
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
+    if scenario.threshold <= 0:
+        raise ConfigurationError(f"threshold must be positive, got {scenario.threshold}")
+    if scenario.max_iters < 1:
+        raise ConfigurationError(f"max_iters must be >= 1, got {scenario.max_iters}")
+    cands, costs = scenario.candidates, np.asarray(scenario.costs_l1, dtype=float)
+    p = np.asarray(scenario.p, dtype=float)
+    if not 0 < p.size == len(cands) == costs.size:
+        raise ValueError("p, candidates and costs_l1 differ in length or are empty")
+    if any(not 0 <= m < scenario.n for c in cands for m in c.members):
+        raise ValueError(f"a candidate has a member outside [0, {scenario.n})")
+    cumulative = np.cumsum(p)
+    if not (np.all(p >= 0) and abs(cumulative[-1] - 1.0) <= 1e-6):
+        raise ValueError(f"p must be nonnegative and sum to 1, got sum {cumulative[-1]}")
 
-    traces: list[SimulationTrace] = []
-    for r in range(runs):
-        rng = np.random.default_rng(base_seed + r)
-        initial = draw_initial_state(
-            scenario.n, scenario.init_low, scenario.init_high, rng
-        )
-        traces.append(
-            run_trial(
-                initial,
-                scenario.p,
-                scenario.candidates,
-                scenario.costs_l1,
-                scenario.threshold,
-                scenario.max_iters,
-                rng,
-            )
-        )
-
-    length = max(trace.errors.size for trace in traces)
-    error_sum = np.zeros(length)
-    energy_sum = np.zeros(length)
-    for trace in traces:
-        k = trace.errors.size
-        error_sum[:k] += trace.errors
-        error_sum[k:] += trace.errors[-1]
-        energy_sum[:k] += trace.energies
-        energy_sum[k:] += trace.energies[-1]
-
-    iterations = [
-        trace.terminated_at if trace.terminated_at is not None else scenario.max_iters
-        for trace in traces
-    ]
-    finals = [trace.energies[-1] for trace in traces]
+    # Candidate i's members are flat[offset[i] : offset[i] + size_of[i]].
+    size_of = np.array([c.size for c in cands])
+    flat = np.concatenate([c.members for c in cands])
+    tables = (size_of, np.cumsum(size_of) - size_of, flat, costs)
+    total, iterations, finals, terminated = np.zeros((2, 1)), [], [], 0
+    for start in range(0, runs, _CHUNK_RUNS):
+        seeds = range(base_seed + start, base_seed + min(start + _CHUNK_RUNS, runs))
+        sums, stop, energy, crossed = _run_chunk(scenario, seeds, cumulative, tables)
+        # Right-extend the shorter of the two by its last slot's sums, then add.
+        width = max(total.shape[1], sums.shape[1])
+        total = sum(np.pad(a, [(0, 0), (0, width - a.shape[1])], "edge") for a in (total, sums))
+        iterations.append(stop)
+        finals.append(energy)
+        terminated += crossed
     return AveragedTrace(
-        mean_errors=error_sum / runs,
-        mean_energies=energy_sum / runs,
+        mean_errors=total[0] / runs,
+        mean_energies=total[1] / runs,
         runs=runs,
-        terminated_runs=sum(t.terminated_at is not None for t in traces),
-        mean_iterations_to_threshold=float(np.mean(iterations)),
-        mean_energy_at_threshold=float(np.mean(finals)),
+        terminated_runs=terminated,
+        mean_iterations_to_threshold=float(np.mean(np.concatenate(iterations))),
+        mean_energy_at_threshold=float(np.mean(np.concatenate(finals))),
     )
 
 

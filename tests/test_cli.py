@@ -92,6 +92,21 @@ def test_config_defaults():
         ({"alphas": [float("nan")]}, "alphas"),
         ({"init_low": 0.0, "init_high": 0.0}, "init_high"),
         ({"error_threshold": float("inf")}, "error_threshold"),
+        ({"n_nodes": "30"}, "n_nodes"),
+        ({"alphas": 0.1}, "alphas"),
+        ({"alphas": "0.1"}, "alphas"),
+        ({"n_nodes": 12.5}, "n_nodes"),
+        ({"runs": True}, "runs"),
+        ({"runs": 2.5}, "runs"),
+        ({"max_iterations": 2.5}, "max_iterations"),
+        ({"topology_seed": -1}, "topology_seed"),
+        ({"sim_base_seed": -2}, "sim_base_seed"),
+        ({"cluster_size_max": 4.0}, "cluster_size_max"),
+        ({"alphas": [True]}, "alphas"),
+        ({"area_side": "50"}, "area_side"),
+        ({"init_high": False}, "init_high"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"topology_file": ["a.json"]}, "topology_file"),
     ],
 )
 def test_config_rejections_name_the_key(overrides, key):
@@ -311,3 +326,30 @@ def test_topology_file_sizes_and_positions(tmp_path, capsys):
     path = _write_config(tmp_path, topology_file=str(topo_file), cluster_size_max=None)
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG_ERROR
     assert "finite" in capsys.readouterr().err
+
+
+def test_summary_reports_terminated_runs(tmp_path):
+    config = load_config(_write_config(tmp_path, alphas=[1e-4]))
+    assert run_sweep(config) == EXIT_OK
+    entry = json.loads((tmp_path / "out" / "summary.json").read_text())[0]
+    assert entry["terminated_runs"] == 25  # threshold 0.1 within 2000 slots
+
+    positions = [[0.0, 0.0], [1.0, 0.0], [1e5, 0.0], [1e5 + 1.0, 0.0]]
+    topo_file = tmp_path / "split.json"
+    topo_file.write_text(json.dumps({"positions": positions}))
+    split = load_config(
+        _write_config(
+            tmp_path, topology_file=str(topo_file), cluster_size_max=2, alphas=[0.0]
+        )
+    )
+    assert run_sweep(split) == EXIT_INFEASIBLE
+    entry = json.loads((tmp_path / "out" / "summary.json").read_text())[0]
+    assert entry["feasible"] is False
+    assert entry["terminated_runs"] is None
+
+
+def test_main_rejects_negative_seed(tmp_path, capsys):
+    config_path = _write_config(tmp_path, alphas=[0.0], runs=2)
+    assert main(["run", "--config", str(config_path), "--seed", "-1"]) == EXIT_CONFIG_ERROR
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,11 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clustergossip import simulator
 from clustergossip import (
     AveragedTrace,
     ClusterCandidate,
@@ -294,3 +298,161 @@ def test_mse_bound_check_rejects_bad_xi():
         mse_bound_check(avg, 1.0, float(avg.mean_errors[0]))
     with pytest.raises(ValueError):
         mse_bound_check(avg, -0.1, float(avg.mean_errors[0]))
+
+
+def _reference_average(scenario, runs, base_seed):
+    """The per-run loop monte_carlo replaced: run_trial per seed, then mean."""
+    traces = []
+    for r in range(runs):
+        rng = np.random.default_rng(base_seed + r)
+        initial = draw_initial_state(scenario.n, scenario.init_low, scenario.init_high, rng)
+        traces.append(
+            run_trial(
+                initial, scenario.p, scenario.candidates, scenario.costs_l1,
+                scenario.threshold, scenario.max_iters, rng,
+            )
+        )
+    length = max(t.errors.size for t in traces)
+    err = np.zeros(length)
+    eng = np.zeros(length)
+    for t in traces:
+        err[: t.errors.size] += t.errors
+        err[t.errors.size :] += t.errors[-1]
+        eng[: t.energies.size] += t.energies
+        eng[t.energies.size :] += t.energies[-1]
+    iterations = [
+        t.terminated_at if t.terminated_at is not None else scenario.max_iters
+        for t in traces
+    ]
+    return traces, AveragedTrace(
+        mean_errors=err / runs,
+        mean_energies=eng / runs,
+        runs=runs,
+        terminated_runs=sum(t.terminated_at is not None for t in traces),
+        mean_iterations_to_threshold=float(np.mean(iterations)),
+        mean_energy_at_threshold=float(np.mean([t.energies[-1] for t in traces])),
+    )
+
+
+@st.composite
+def _random_scenarios(draw):
+    """Clusters of any size up to n = 30, p with zero entries, thresholds that
+    some runs meet at slot 0 and others never meet before max_iters."""
+    n = draw(st.integers(3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 8))
+    candidates = []
+    for _ in range(count):
+        members = tuple(sorted(rng.choice(n, int(rng.integers(2, n + 1)), replace=False).tolist()))
+        candidates.append(ClusterCandidate(head=members[-1], members=members))
+    p = rng.random(count) * (rng.random(count) < 0.7)
+    p[0] += p.sum() == 0
+    low, high = draw(st.sampled_from([(0.0, 30.0), (10.0, 12.0), (-5.0, 5.0)]))
+    return SimulationScenario(
+        candidates=tuple(candidates),
+        costs_l1=rng.uniform(0.0, 100.0, count),
+        p=p / p.sum(),
+        n=n,
+        init_low=low,
+        init_high=high,
+        threshold=draw(st.sampled_from([0.3, 0.1, 1e-3, 1e-9])),
+        max_iters=draw(st.integers(1, 60)),
+    )
+
+
+@given(
+    _random_scenarios(),
+    st.integers(1, 40),
+    st.integers(0, 10_000),
+    st.sampled_from([1, 3, 7, simulator._CHUNK_RUNS]),
+)
+@settings(max_examples=60, deadline=None)
+def test_monte_carlo_matches_run_trial_average(scenario, runs, base_seed, chunk):
+    with mock.patch.object(simulator, "_CHUNK_RUNS", chunk):
+        avg = monte_carlo(scenario, runs, base_seed)
+        one = monte_carlo(scenario, 1, base_seed)
+    traces, ref = _reference_average(scenario, runs, base_seed)
+    assert avg.runs == runs
+    assert avg.terminated_runs == ref.terminated_runs
+    assert avg.mean_iterations_to_threshold == ref.mean_iterations_to_threshold
+    assert avg.mean_energy_at_threshold == ref.mean_energy_at_threshold
+    assert avg.mean_errors.shape == ref.mean_errors.shape
+    np.testing.assert_allclose(avg.mean_errors, ref.mean_errors, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(avg.mean_energies, ref.mean_energies, rtol=1e-12, atol=1e-12)
+    # One run is its own mean: its error and energy paths are run_trial's, bit for bit.
+    np.testing.assert_array_equal(one.mean_errors, traces[0].errors)
+    np.testing.assert_array_equal(one.mean_energies, traces[0].energies)
+
+
+def test_monte_carlo_one_run_bit_identical_on_many_seeds():
+    """Sizes 2..30 on n = 30, so the row means cover pairwise sums over 8+ terms."""
+    rng = np.random.default_rng(3)
+    member_sets = [tuple(sorted(rng.choice(30, s, replace=False).tolist())) for s in range(2, 31)]
+    candidates = tuple(ClusterCandidate(head=m[0], members=m) for m in member_sets)
+    p = rng.random(len(candidates))
+    p[::4] = 0.0
+    scenario = SimulationScenario(
+        candidates=candidates,
+        costs_l1=rng.uniform(1.0, 50.0, len(candidates)),
+        p=p / p.sum(),
+        n=30,
+        init_low=0.0,
+        init_high=30.0,
+        threshold=1e-12,
+        max_iters=80,
+    )
+    for seed in range(80):
+        traces, _ = _reference_average(scenario, 1, seed)
+        avg = monte_carlo(scenario, 1, seed)
+        np.testing.assert_array_equal(avg.mean_errors, traces[0].errors)
+        np.testing.assert_array_equal(avg.mean_energies, traces[0].energies)
+
+
+def test_monte_carlo_matches_reference_across_chunks_and_edge_runs():
+    """More runs than one chunk, not a multiple of it; runs that stop at slot
+    0 (narrow initial range) next to runs that never stop (node 2 never mixes)."""
+    scenario = SimulationScenario(
+        candidates=(PAIR_01, PAIR_12),
+        costs_l1=np.array([3.0, 5.0]),
+        p=np.array([1.0, 0.0]),
+        n=3,
+        init_low=10.0,
+        init_high=12.5,
+        threshold=2e-3,
+        max_iters=25,
+    )
+    runs = simulator._CHUNK_RUNS + 13
+    avg = monte_carlo(scenario, runs, 40)
+    traces, ref = _reference_average(scenario, runs, 40)
+    stops = [t.terminated_at for t in traces]
+    assert 0 in stops and None in stops
+    assert avg.terminated_runs == ref.terminated_runs
+    assert avg.mean_iterations_to_threshold == ref.mean_iterations_to_threshold
+    assert avg.mean_energy_at_threshold == ref.mean_energy_at_threshold
+    np.testing.assert_allclose(avg.mean_errors, ref.mean_errors, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(avg.mean_energies, ref.mean_energies, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "changes,runs,error",
+    [
+        ({}, 0, ConfigurationError),
+        ({"threshold": 0.0}, 5, ConfigurationError),
+        ({"max_iters": 0}, 5, ConfigurationError),
+        ({"init_low": 1.0, "init_high": 0.0}, 5, ConfigurationError),
+        ({"p": np.array([1.0])}, 5, ValueError),
+        ({"p": np.array([0.5, 0.25, 0.25])}, 5, ValueError),
+        ({"costs_l1": np.array([1.0])}, 5, ValueError),
+        ({"candidates": (PAIR_01, ClusterCandidate(head=3, members=(2, 3)))}, 5, ValueError),
+        ({"p": np.array([0.5, 0.6])}, 5, ValueError),
+        ({"p": np.array([1.5, -0.5])}, 5, ValueError),
+        ({"p": np.array([np.nan, 1.0])}, 5, ValueError),
+        # p is checked even when every run meets the threshold at slot 0
+        ({"p": np.array([0.5, 0.6]), "threshold": 10.0}, 5, ValueError),
+        ({"init_low": 0.0, "init_high": 0.0}, 5, ValueError),
+    ],
+)
+def test_monte_carlo_rejects_bad_scenario(changes, runs, error):
+    scenario = replace(_symmetric_scenario(), **changes)
+    with pytest.raises(error):
+        monte_carlo(scenario, runs, 0)
