@@ -110,9 +110,11 @@ def build_weight_matrix(candidate: ClusterCandidate, n: int) -> np.ndarray:
 
 
 def membership(candidates: Sequence[ClusterCandidate], n: int) -> np.ndarray:
-    """0/1 matrix of shape (C, n) whose row i marks candidate i's members."""
+    """0/1 matrix of shape (C, n) whose row i marks candidate i's members, all in [0, n)."""
     rows = np.repeat(np.arange(len(candidates)), [cand.size for cand in candidates])
     cols = np.array([j for cand in candidates for j in cand.members], dtype=int)
+    if cols.size and not 0 <= cols.min() <= cols.max() < n:
+        raise ValueError(f"a candidate has a member outside [0, {n})")
     m = np.zeros((len(candidates), n))
     m[rows, cols] = 1.0
     return m

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .candidates import ClusterCandidate, enumerate_candidates, prune_dominated
 from .energy import EnergyParams, cost_rows
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .optimizer import OptimizerOptions, optimize
 from .simulator import AveragedTrace, SimulationScenario, monte_carlo
 from .topology import Topology, generate_topology, load_topology
@@ -40,8 +39,8 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO_ERROR = 3
+EXIT_NUMERICAL_ERROR = 4
 
-SUPPORT_FLOOR = 1e-6
 _PRICE_BLOCK = 1024
 
 
@@ -75,28 +74,30 @@ class ExperimentConfig:
         return self.n_nodes if n_nodes is None else n_nodes
 
 
-_CONFIG_KEYS = set(ExperimentConfig.__dataclass_fields__)
-_INT_KEYS = (
-    "n_nodes", "topology_seed", "cluster_size_min", "cluster_size_max", "runs",
-    "max_iterations", "sim_base_seed",
-)
-_FLOAT_KEYS = (
-    "area_side", "epsilon", "error_threshold", "eps_amp", "e_elec", "k_bits",
-    "init_low", "init_high",
-)
-
-
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value: Any) -> bool:
+    # abs() compares exactly, so an int too large for a float is rejected, not raised on.
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+# The check and its noun for each ExperimentConfig annotation; "X | None" also admits None.
+_TYPE_RULES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_finite, "a finite number"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "tuple[float, ...]": (
+        lambda value: isinstance(value, tuple) and all(map(_is_finite, value)),
+        "a list of finite numbers",
+    ),
+}
 
 
 def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     """Build and validate a config from a plain dict of overrides."""
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigurationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     if isinstance(data.get("alphas"), list):
@@ -110,21 +111,12 @@ def _validate(config: ExperimentConfig) -> None:
     def fail(key: str, message: str) -> None:
         raise ConfigurationError(f"config key '{key}': {message}")
 
-    for key in _INT_KEYS:
-        value = getattr(config, key)
-        if not _is_int(value) and not (key == "cluster_size_max" and value is None):
-            fail(key, f"must be an integer, got {value!r}")
-    for key in _FLOAT_KEYS:
-        if not _is_real(getattr(config, key)) or not math.isfinite(getattr(config, key)):
-            fail(key, f"must be a finite number, got {getattr(config, key)!r}")
-    if not isinstance(config.alphas, tuple) or not all(
-        _is_real(a) and math.isfinite(a) for a in config.alphas
-    ):
-        fail("alphas", f"must be a list of finite numbers, got {config.alphas!r}")
-    for key in ("topology_file", "output_dir"):
-        value = getattr(config, key)
-        if not isinstance(value, str) and not (key == "topology_file" and value is None):
-            fail(key, f"must be a string, got {value!r}")
+    for field in fields(config):
+        value = getattr(config, field.name)
+        kind, _, optional = field.type.partition(" | ")
+        is_kind, noun = _TYPE_RULES[kind]
+        if not is_kind(value) and not (optional and value is None):
+            fail(field.name, f"must be {noun}, got {value!r}")
     for key in ("topology_seed", "sim_base_seed"):
         if getattr(config, key) < 0:
             fail(key, f"must be >= 0, got {getattr(config, key)}")
@@ -169,7 +161,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigurationError(f"config file not found: {p}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ConfigurationError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {p} must contain a JSON object")
@@ -292,7 +284,7 @@ def _support(p: np.ndarray, kept: Sequence[Any]) -> list[dict[str, Any]]:
             "probability": float(prob),
         }
         for prob, cand in zip(p, kept)
-        if prob > SUPPORT_FLOOR
+        if prob > 0.0
     ]
     rows.sort(key=lambda r: (-r["probability"], r["head"], r["members"]))
     return rows
@@ -350,7 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as EXIT_INFEASIBLE.
+        return EXIT_CONFIG_ERROR if exc.code else EXIT_OK
     handlers = {
         "run": _cmd_run,
         "validate": _cmd_validate,
@@ -364,6 +360,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
 
 
 def entrypoint() -> None:

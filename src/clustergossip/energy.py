@@ -51,17 +51,19 @@ class EnergyParams:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def transmission_energy(params: EnergyParams, d_sq_scalar: float) -> float:
+def transmission_energy(
+    params: EnergyParams, d_sq: float | np.ndarray
+) -> float | np.ndarray:
     """Energy of one point-to-point transmission over squared distance d_sq.
 
     Sum of transmit circuitry, amplifier, and receive circuitry terms:
-    ``k*e_elec + eps_amp*k*d_sq + k*e_elec``. With default params this is
-    just ``d_sq``.
+    ``k*e_elec + eps_amp*k*d_sq + k*e_elec``, entry by entry for an array.
+    With default params this is just ``d_sq``.
     """
-    if not (d_sq_scalar >= 0):
-        raise ValueError(f"squared distance must be >= 0, got {d_sq_scalar}")
+    if not np.all(np.asarray(d_sq) >= 0):
+        raise ValueError(f"squared distances must be >= 0, got minimum {np.min(d_sq)}")
     k = params.k_bits
-    return k * params.e_elec + params.eps_amp * k * d_sq_scalar + k * params.e_elec
+    return k * params.e_elec + params.eps_amp * k * d_sq + k * params.e_elec
 
 
 def cost_fc(
@@ -108,10 +110,9 @@ def cost_rows(
 
     Row i equals ``cost_fc + cost_bc`` of candidate i, entry for entry.
     """
+    mask = membership(candidates, topology.n)  # checks every member, heads included
     heads = np.array([cand.head for cand in candidates], dtype=int)
-    d_sq, k = topology.d_sq[heads], params.k_bits
-    rows = k * params.e_elec + params.eps_amp * k * d_sq + k * params.e_elec
-    rows *= membership(candidates, topology.n)
+    rows = transmission_energy(params, topology.d_sq[heads]) * mask
     # Energy grows with distance, so the largest member entry is the broadcast.
     rows[np.arange(heads.size), heads] = rows.max(axis=1)
     return rows

@@ -11,16 +11,16 @@ plus a linear term), so a projected subgradient scheme with diminishing
 steps converges; runs are fully deterministic (uniform start, no
 randomness).
 
-Solver layout: an even split of the iteration budget over a few phases
-with geometrically shrinking step scale. The first phase locates the
-active region; later phases shrink the oscillation band around the optimum
-so the best iterate is accurate to ~1e-4 in objective on small instances,
-which a single 1/sqrt(t) schedule does not reliably reach within the same
-budget. Every single-candidate vertex is also evaluated, in closed form:
-a lone cluster with s < n members leaves the other nodes fixed (xi = 1),
-and the all-node cluster has W = J (xi = 0), so it is found exactly.
-W(p) is built from the (C, n) 0/1 membership matrix M and the cluster
-sizes s as ``(sum p) I - diag(M'p) + M' diag(p/s) M``, also off the simplex.
+Solver layout: a fixed schedule that splits the iteration budget evenly
+over three phases with step multipliers 1, 0.1 and 0.01. The first phase
+locates the active region; later phases shrink the oscillation band around
+the optimum so the best iterate is accurate to ~1e-4 in objective on small
+instances, which a single 1/sqrt(t) schedule does not reliably reach within
+the same budget. Every single-candidate vertex is also evaluated, in closed
+form: a lone cluster with s < n members leaves the other nodes fixed
+(xi = 1), and the all-node cluster has W = J (xi = 0), so it is found exactly.
+W(p) is built from the (C, n) 0/1 membership matrix M and the cluster sizes
+s as ``(sum p) I - diag(M'p) + M' diag(p/s) M``, also off the simplex.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 _ASYMMETRY_TOL = 1e-9
+# Fixed schedule: step multipliers over an even split of the budget, the stall window
+# and tolerance that end a phase early, and the floor at or below which p_i is zeroed.
+_STEP_PHASES = (1.0, 0.1, 0.01)
+_STALL_WINDOW = 500
+_STALL_TOL = 1e-6
+_SUPPORT_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,25 +62,11 @@ class OptimizerOptions:
         epsilon: connectivity margin; the result is feasible when
             xi <= 1 - epsilon.
         max_iters: total projected-subgradient iteration budget.
-        step_scale: base step size; iteration t of a phase uses
-            ``step_scale * phase_mult / sqrt(t)``.
-        tol: stall tolerance on the best objective.
-        stall_window: iterations without tol-improvement before the current
-            phase is abandoned.
-        step_phases: per-phase multipliers on step_scale; the iteration
-            budget is split evenly across phases.
-        support_floor: probabilities below this are zeroed in the returned
-            vector, which is then renormalized.
     """
 
     alpha: float = 0.0
     epsilon: float = 1e-2
     max_iters: int = 5000
-    step_scale: float = 1.0
-    tol: float = 1e-6
-    stall_window: int = 500
-    step_phases: tuple[float, ...] = (1.0, 0.1, 0.01)
-    support_floor: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
@@ -83,10 +75,6 @@ class OptimizerOptions:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.step_scale <= 0:
-            raise ValueError(f"step_scale must be positive, got {self.step_scale}")
-        if not self.step_phases:
-            raise ValueError("step_phases must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -219,8 +207,8 @@ def optimize(
     alone (restoring connectivity), otherwise along the full objective
     subgradient. The best margin-satisfying iterate seen anywhere --
     including all single-candidate vertices, which are evaluated exactly
-    -- is kept, cleaned of sub-floor probabilities, renormalized and
-    re-evaluated; all reported figures refer to that final vector.
+    -- is kept, zeroed at or below 1e-6, renormalized and re-evaluated;
+    all reported figures refer to that final vector.
 
     Deterministic: uniform start, fixed phase schedule.
 
@@ -254,15 +242,16 @@ def optimize(
     margin = 1.0 - options.epsilon
     p = np.full(c_count, 1.0 / c_count)
     obj, xi_val, _, v = evaluate(p)
-    best_feas_obj, best_feas_p = np.inf, None
-    best_xi, best_xi_p = xi_val, p.copy()
+    # The best point so far, keyed (0, obj) once it meets the margin and
+    # (1, xi) before: any margin-meeting point beats every violating one.
+    # The key's sum is the stall measure, which improves monotonically.
+    best_key, best_p = (2, 0.0), p
 
     def note(obj: float, xi_val: float, p: np.ndarray) -> None:
-        nonlocal best_feas_obj, best_feas_p, best_xi, best_xi_p
-        if xi_val <= margin and obj < best_feas_obj:
-            best_feas_obj, best_feas_p = obj, p.copy()
-        if xi_val < best_xi:
-            best_xi, best_xi_p = xi_val, p.copy()
+        nonlocal best_key, best_p
+        key = (0, obj) if xi_val <= margin else (1, xi_val)
+        if key < best_key:
+            best_key, best_p = key, p.copy()
 
     note(obj, xi_val, p)
 
@@ -273,15 +262,9 @@ def optimize(
         vertex[i] = 1.0
         note(alpha * costs_arr[i], 0.0, vertex)
 
-    def progress() -> float:
-        # Comparable scalar that improves monotonically: once some iterate
-        # meets the margin we chase its objective, before that we chase xi.
-        return best_feas_obj if best_feas_p is not None else 1.0 + best_xi
-
-    per_phase = max(1, options.max_iters // len(options.step_phases))
-    for mult in options.step_phases:
-        scale = options.step_scale * mult
-        anchor = progress()
+    per_phase = max(1, options.max_iters // len(_STEP_PHASES))
+    for scale in _STEP_PHASES:
+        anchor = sum(best_key)
         since_anchor = 0
         for t in range(1, per_phase + 1):
             spectral = _spectral_subgradient(v, members, sizes)
@@ -293,20 +276,20 @@ def optimize(
             obj, xi_val, _, v = evaluate(p)
             note(obj, xi_val, p)
             since_anchor += 1
-            if since_anchor >= options.stall_window:
-                if anchor - progress() < options.tol:
+            if since_anchor >= _STALL_WINDOW:
+                if anchor - sum(best_key) < _STALL_TOL:
                     break
-                anchor = progress()
+                anchor = sum(best_key)
                 since_anchor = 0
         # Next phase restarts its step schedule from the best point so far.
-        p = (best_feas_p if best_feas_p is not None else best_xi_p).copy()
+        p = best_p.copy()
         obj, xi_val, _, v = evaluate(p)
 
-    # Zero sub-floor probabilities and renormalize (all-zero: keep the largest).
-    best = best_feas_p if best_feas_p is not None else best_xi_p
-    final_p = np.where(best < options.support_floor, 0.0, best)
+    # Zero probabilities at or below the floor and renormalize (all-zero: keep
+    # the largest). This is the only place the support is decided.
+    final_p = np.where(best_p <= _SUPPORT_FLOOR, 0.0, best_p)
     if final_p.sum() <= 0.0:
-        final_p[np.argmax(best)] = 1.0
+        final_p[np.argmax(best_p)] = 1.0
     final_p /= final_p.sum()
     obj, xi_val, cost_val, _ = evaluate(final_p)
     return ActivationDistribution(

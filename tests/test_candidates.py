@@ -11,8 +11,14 @@ from clustergossip import (
     candidate_cost_l1,
     enumerate_candidates,
     generate_topology,
+    mixing_matrix,
+    objective_subgradient,
+    optimize,
     prune_dominated,
+    xi,
 )
+from clustergossip.energy import cost_rows
+from clustergossip.optimizer import OptimizerOptions
 
 
 def test_candidate_validation():
@@ -140,6 +146,25 @@ def test_prune_preserves_distinct_weight_matrices():
     after = {tuple(c.members) for c in kept}
     assert before == after  # member set determines the weight matrix
     assert len(kept) == len(after)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cands: optimize(cands, [1.0], 2, OptimizerOptions()),
+        lambda cands: mixing_matrix(np.array([1.0]), cands, 2),
+        lambda cands: xi(np.array([1.0]), cands, 2),
+        lambda cands: objective_subgradient(np.array([1.0]), cands, [1.0], 0.0, 2),
+        lambda cands: cost_rows(cands, Topology.from_positions(np.zeros((2, 2))), EnergyParams()),
+    ],
+    ids=["optimize", "mixing_matrix", "xi", "objective_subgradient", "cost_rows"],
+)
+@pytest.mark.parametrize("head,members", [(0, (0, 1, 2)), (2, (0, 1, 2)), (-1, (-1, 0))])
+def test_member_outside_range_names_n(call, head, members):
+    """Every layer that reads the membership matrix rejects a member
+    outside [0, n) with a ValueError naming n, not numpy's IndexError."""
+    with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+        call([ClusterCandidate(head=head, members=members)])
 
 
 def test_prune_rejects_mismatched_costs():

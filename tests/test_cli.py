@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import clustergossip.cli as cli
 from clustergossip import (
     AveragedTrace,
     ConfigurationError,
     EnergyParams,
+    NumericalError,
     generate_topology,
     xi,
 )
@@ -15,6 +17,7 @@ from clustergossip.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INFEASIBLE,
     EXIT_IO_ERROR,
+    EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     ExperimentConfig,
     config_from_dict,
@@ -107,6 +110,9 @@ def test_config_defaults():
         ({"init_high": False}, "init_high"),
         ({"output_dir": 5}, "output_dir"),
         ({"topology_file": ["a.json"]}, "topology_file"),
+        ({"area_side": 10**400}, "area_side"),
+        ({"epsilon": 10**400}, "epsilon"),
+        ({"alphas": [10**400]}, "alphas"),
     ],
 )
 def test_config_rejections_name_the_key(overrides, key):
@@ -127,6 +133,9 @@ def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigurationError):
         load_config(bad)
     bad.write_text("{invalid")
+    with pytest.raises(ConfigurationError):
+        load_config(bad)
+    bad.write_text('{"area_side": ' + "1" * 5000 + "}")  # past int-string limits
     with pytest.raises(ConfigurationError):
         load_config(bad)
 
@@ -276,6 +285,42 @@ def test_main_maps_errors_to_exit_codes(tmp_path):
         tmp_path, output_dir=str(blocker / "sub"), alphas=[0.0], runs=2
     )
     assert main(["run", "--config", str(config_path)]) == EXIT_IO_ERROR
+
+
+def test_main_numerical_and_usage_exit_codes(tmp_path, monkeypatch, capsys):
+    config_path = _write_config(tmp_path, alphas=[0.0], runs=2)
+
+    def diverge(*args, **kwargs):
+        raise NumericalError("objective became non-finite: nan")
+
+    monkeypatch.setattr(cli, "optimize", diverge)
+    assert main(["run", "--config", str(config_path)]) == EXIT_NUMERICAL_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+
+    # argparse's own exit status 2 would read as EXIT_INFEASIBLE
+    assert main(["run", "--config", str(config_path), "--seed", "abc"]) == EXIT_CONFIG_ERROR
+    assert main(["run"]) == EXIT_CONFIG_ERROR
+    assert "usage:" in capsys.readouterr().err
+    assert main(["--help"]) == EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_summary_support_is_every_nonzero_probability(tmp_path, monkeypatch):
+    results, real_optimize = [], cli.optimize
+
+    def recording_optimize(*args, **kwargs):
+        results.append(real_optimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "optimize", recording_optimize)
+    config = load_config(_write_config(tmp_path, alphas=[0.0, 1e-4, 1e-3]))
+    assert run_sweep(config) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    for entry, result in zip(summary, results, strict=True):
+        probs = [row["probability"] for row in entry["support"]]
+        assert len(probs) == np.count_nonzero(result.p)
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_main_run_overrides(tmp_path):

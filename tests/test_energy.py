@@ -28,6 +28,16 @@ def test_transmission_energy_full_form():
     assert transmission_energy(params, 25.0) == 87.0
 
 
+def test_transmission_energy_on_arrays():
+    params = EnergyParams(eps_amp=1.0, e_elec=2.0, k_bits=3.0)
+    d_sq = np.array([[25.0, 0.0], [1.5, 7.0]])
+    expected = [[transmission_energy(params, float(d)) for d in row] for row in d_sq]
+    np.testing.assert_array_equal(transmission_energy(params, d_sq), expected)
+    for bad in (-1.0, np.array([1.0, -1e-300]), np.array([[0.0, np.nan]])):
+        with pytest.raises(ValueError, match="squared distances"):
+            transmission_energy(params, bad)
+
+
 def test_energy_params_reject_negative():
     with pytest.raises(ValueError):
         EnergyParams(eps_amp=-1.0)

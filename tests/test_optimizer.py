@@ -313,6 +313,16 @@ def test_optimize_cleans_tiny_support():
     assert np.sum(r.p) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_optimize_margin_meeting_point_beats_lower_scalar_progress():
+    """The all-node cluster costs 1e6, so every point that meets the margin
+    has an objective (~11) far above 1 plus any violating xi; it must still
+    be returned, which one scalar key (obj or 1 + xi) would not guarantee."""
+    r = optimize([PAIR_01, FULL_3], [0.0, 1e6], 3, OptimizerOptions(alpha=1e-3))
+    assert r.feasible
+    assert r.xi == pytest.approx(0.99, abs=1e-3) and r.xi <= 0.99
+    assert r.objective == pytest.approx(10.994, abs=1e-2)
+
+
 def test_optimize_rejects_empty_and_mismatched_inputs():
     with pytest.raises(ValueError):
         optimize([], np.array([]), 3, OptimizerOptions())
