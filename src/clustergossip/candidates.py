@@ -23,6 +23,7 @@ __all__ = [
     "enumerate_candidates",
     "build_weight_matrix",
     "membership",
+    "per_candidate",
     "prune_dominated",
 ]
 
@@ -99,10 +100,7 @@ def build_weight_matrix(candidate: ClusterCandidate, n: int) -> np.ndarray:
     non-members, and 0 otherwise. The result is symmetric, doubly
     stochastic, and idempotent.
     """
-    if candidate.members[-1] >= n:
-        raise ValueError(
-            f"candidate members {candidate.members} out of range for n={n}"
-        )
+    membership([candidate], n)  # only for its member-range check
     w = np.eye(n)
     idx = np.fromiter(candidate.members, dtype=int)
     w[np.ix_(idx, idx)] = 1.0 / candidate.size
@@ -118,6 +116,14 @@ def membership(candidates: Sequence[ClusterCandidate], n: int) -> np.ndarray:
     m = np.zeros((len(candidates), n))
     m[rows, cols] = 1.0
     return m
+
+
+def per_candidate(values, candidates: Sequence[ClusterCandidate], name: str) -> np.ndarray:
+    """``values`` as a float vector with one entry per candidate, else ValueError."""
+    array = np.asarray(values, dtype=float)
+    if array.shape != (len(candidates),):
+        raise ValueError(f"{name}: shape {array.shape}, expected ({len(candidates)},)")
+    return array
 
 
 def prune_dominated(

@@ -83,6 +83,13 @@ def _is_finite(value: Any) -> bool:
     return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
+def _show(value: Any) -> str:
+    """repr(value), except that an int of over 1000 bits, which str() may refuse, is sized."""
+    if _is_int(value) and value.bit_length() > 1000:
+        return f"an integer of {value.bit_length()} bits"
+    return f"[{', '.join(map(_show, value))}]" if isinstance(value, tuple) else repr(value)
+
+
 # The check and its noun for each ExperimentConfig annotation; "X | None" also admits None.
 _TYPE_RULES = {
     "int": (_is_int, "an integer"),
@@ -116,23 +123,20 @@ def _validate(config: ExperimentConfig) -> None:
         kind, _, optional = field.type.partition(" | ")
         is_kind, noun = _TYPE_RULES[kind]
         if not is_kind(value) and not (optional and value is None):
-            fail(field.name, f"must be {noun}, got {value!r}")
+            fail(field.name, f"must be {noun}, got {_show(value)}")
     for key in ("topology_seed", "sim_base_seed"):
         if getattr(config, key) < 0:
-            fail(key, f"must be >= 0, got {getattr(config, key)}")
+            fail(key, f"must be >= 0, got {_show(getattr(config, key))}")
     if config.n_nodes < 2:
-        fail("n_nodes", f"must be >= 2, got {config.n_nodes}")
+        fail("n_nodes", f"must be >= 2, got {_show(config.n_nodes)}")
     if config.area_side <= 0:
         fail("area_side", f"must be positive, got {config.area_side}")
     if config.cluster_size_min < 2:
-        fail("cluster_size_min", f"must be >= 2, got {config.cluster_size_min}")
+        fail("cluster_size_min", f"must be >= 2, got {_show(config.cluster_size_min)}")
     if config.size_max() < config.cluster_size_min:
-        fail(
-            "cluster_size_max",
-            f"must be >= cluster_size_min, got {config.size_max()}",
-        )
+        fail("cluster_size_max", f"must be >= cluster_size_min, got {_show(config.size_max())}")
     if config.topology_file is None and config.size_max() > config.n_nodes:
-        fail("cluster_size_max", f"must be <= n_nodes, got {config.size_max()}")
+        fail("cluster_size_max", f"must be <= n_nodes, got {_show(config.size_max())}")
     if len(config.alphas) == 0:
         fail("alphas", "must be a nonempty list")
     if any(a < 0 for a in config.alphas):
@@ -140,11 +144,11 @@ def _validate(config: ExperimentConfig) -> None:
     if not 0 < config.epsilon < 1:
         fail("epsilon", f"must lie in (0, 1), got {config.epsilon}")
     if config.runs < 1:
-        fail("runs", f"must be >= 1, got {config.runs}")
+        fail("runs", f"must be >= 1, got {_show(config.runs)}")
     if config.error_threshold <= 0:
         fail("error_threshold", f"must be positive, got {config.error_threshold}")
     if config.max_iterations < 1:
-        fail("max_iterations", f"must be >= 1, got {config.max_iterations}")
+        fail("max_iterations", f"must be >= 1, got {_show(config.max_iterations)}")
     for key in ("eps_amp", "e_elec", "k_bits"):
         if getattr(config, key) < 0:
             fail(key, f"must be >= 0, got {getattr(config, key)}")
@@ -213,15 +217,19 @@ def _config_pool(
     config: ExperimentConfig,
 ) -> tuple[Topology, list[ClusterCandidate], np.ndarray, np.ndarray]:
     """The config's topology followed by its ``prepare_pool`` output."""
-    if config.topology_file is None:
-        topology = generate_topology(config.n_nodes, config.area_side, config.topology_seed)
-    else:
-        topology = load_topology(config.topology_file)
-    params = EnergyParams(
-        eps_amp=config.eps_amp, e_elec=config.e_elec, k_bits=config.k_bits
-    )
-    # enumerate_candidates rejects a cluster_size_max above the node count.
-    pool = prepare_pool(topology, config.cluster_size_min, config.size_max(topology.n), params)
+    params = EnergyParams(eps_amp=config.eps_amp, e_elec=config.e_elec, k_bits=config.k_bits)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, as non-finite costs
+        if config.topology_file is None:
+            topology = generate_topology(config.n_nodes, config.area_side, config.topology_seed)
+        else:
+            topology = load_topology(config.topology_file)
+        # enumerate_candidates rejects a cluster_size_max above the node count.
+        pool = prepare_pool(topology, config.cluster_size_min, config.size_max(topology.n), params)
+    if not np.all(np.isfinite(pool[1])):
+        raise ConfigurationError(
+            "candidate costs overflow: shrink area_side, the topology positions, "
+            "eps_amp, e_elec or k_bits"
+        )
     return (topology, *pool)
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .candidates import ClusterCandidate, membership
+from .candidates import ClusterCandidate, membership, per_candidate
 from .topology import Topology
 
 __all__ = [
@@ -129,9 +129,4 @@ def expected_cost(
     Linear in p: the p-weighted sum of each candidate's two-phase cost
     vector.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (len(candidates),):
-        raise ValueError(
-            f"p has shape {p.shape}, expected ({len(candidates)},)"
-        )
-    return p @ cost_rows(candidates, topology, params)
+    return per_candidate(p, candidates, "p") @ cost_rows(candidates, topology, params)

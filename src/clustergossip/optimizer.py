@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .candidates import ClusterCandidate, membership
+from .candidates import ClusterCandidate, membership, per_candidate
 from .errors import NumericalError
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _ASYMMETRY_TOL = 1e-9
+_RESIDUAL_TOL = 1e-9
 # Fixed schedule: step multipliers over an even split of the budget, the stall window
 # and tolerance that end a phase early, and the floor at or below which p_i is zeroed.
 _STEP_PHASES = (1.0, 0.1, 0.01)
@@ -110,20 +111,16 @@ def mixing_matrix(
     p: np.ndarray, candidates: Sequence[ClusterCandidate], n: int
 ) -> np.ndarray:
     """Expected averaging matrix W(p): the p-weighted candidate mixture."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (len(candidates),):
-        raise ValueError(f"p has shape {p.shape}, expected ({len(candidates)},)")
+    p = per_candidate(p, candidates, "p")
     members = membership(candidates, n)
     return _mixture(p, members, members.sum(axis=1))
 
 
-def symmetric_top_eigenpair(
-    matrix: np.ndarray, tol: float = 1e-9
-) -> tuple[float, np.ndarray]:
+def symmetric_top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a unit eigenvector of a symmetric matrix.
 
-    Full dense decomposition; fine for the matrix sizes in play. Raises
-    ValueError when the input is asymmetric beyond 1e-9.
+    Full dense decomposition. Raises ValueError when the input is asymmetric
+    beyond 1e-9, NumericalError on a residual above max(1e-9, 1e-12 * |top|).
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -134,8 +131,8 @@ def symmetric_top_eigenpair(
     top = float(eigenvalues[-1])
     vec = eigenvectors[:, -1]
     residual = float(np.linalg.norm(a @ vec - top * vec))
-    if residual > max(tol, 1e-12 * max(1.0, abs(top))):
-        raise NumericalError(f"eigenpair residual {residual} exceeds tolerance {tol}")
+    if residual > max(_RESIDUAL_TOL, 1e-12 * max(1.0, abs(top))):
+        raise NumericalError(f"eigenpair residual {residual} exceeds tolerance {_RESIDUAL_TOL}")
     return top, vec
 
 
@@ -164,11 +161,12 @@ def objective_subgradient(
     gradient; under multiplicity any top eigenvector still gives a valid
     subgradient.
     """
+    p = per_candidate(p, candidates, "p")
+    costs_arr = per_candidate(costs, candidates, "costs")
     members = membership(candidates, n)
     sizes = members.sum(axis=1)
-    w = _mixture(np.asarray(p, dtype=float), members, sizes)
-    _, v = symmetric_top_eigenpair(w - 1.0 / n)
-    return _spectral_subgradient(v, members, sizes) + alpha * np.asarray(costs, dtype=float)
+    _, v = symmetric_top_eigenpair(_mixture(p, members, sizes) - 1.0 / n)
+    return _spectral_subgradient(v, members, sizes) + alpha * costs_arr
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -217,11 +215,7 @@ def optimize(
     """
     if len(candidates) == 0:
         raise ValueError("candidate list is empty")
-    costs_arr = np.asarray(costs, dtype=float)
-    if costs_arr.shape != (len(candidates),):
-        raise ValueError(
-            f"costs have shape {costs_arr.shape}, expected ({len(candidates)},)"
-        )
+    costs_arr = per_candidate(costs, candidates, "costs")
     if not np.all(np.isfinite(costs_arr)) or np.any(costs_arr < 0):
         raise ValueError("costs must be finite and nonnegative")
 
@@ -265,7 +259,6 @@ def optimize(
     per_phase = max(1, options.max_iters // len(_STEP_PHASES))
     for scale in _STEP_PHASES:
         anchor = sum(best_key)
-        since_anchor = 0
         for t in range(1, per_phase + 1):
             spectral = _spectral_subgradient(v, members, sizes)
             if xi_val > margin:
@@ -275,12 +268,10 @@ def optimize(
             p = project_simplex(p - (scale / np.sqrt(t)) * g)
             obj, xi_val, _, v = evaluate(p)
             note(obj, xi_val, p)
-            since_anchor += 1
-            if since_anchor >= _STALL_WINDOW:
+            if t % _STALL_WINDOW == 0:
                 if anchor - sum(best_key) < _STALL_TOL:
                     break
                 anchor = sum(best_key)
-                since_anchor = 0
         # Next phase restarts its step schedule from the best point so far.
         p = best_p.copy()
         obj, xi_val, _, v = evaluate(p)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .candidates import ClusterCandidate
+from .candidates import ClusterCandidate, membership
 from .errors import ConfigurationError
 
 __all__ = [
@@ -31,10 +31,10 @@ __all__ = [
     "mse_bound_check",
 ]
 
-# monte_carlo holds this many runs' states, streams and draw blocks at once;
-# each run's uniforms come in blocks that start small, as most runs stop early.
+# monte_carlo holds this many runs' states and streams at once, and draws each
+# run's uniforms this many at a time.
 _CHUNK_RUNS = 250
-_FIRST_BLOCK, _MAX_BLOCK = 4, 256
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,20 @@ def draw_initial_state(
     return NetworkState(y=rng.uniform(low, high, size=n), t=0)
 
 
-def sample_cluster(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw a candidate index from the categorical distribution p."""
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """The CDF of p, once p is checked to be nonnegative and to sum to 1 within 1e-6."""
     p = np.asarray(p, dtype=float)
     cumulative = np.cumsum(p)
-    if abs(cumulative[-1] - 1.0) > 1e-6:
-        raise ValueError(f"p must sum to 1, got {cumulative[-1]}")
+    if not (np.all(p >= 0) and abs(cumulative[-1] - 1.0) <= 1e-6):
+        raise ValueError(f"p must be nonnegative and sum to 1, got sum {cumulative[-1]}")
+    return cumulative
+
+
+def sample_cluster(p: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw a candidate index from the categorical distribution p."""
+    cumulative = _cumulative(p)
     idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return min(idx, p.size - 1)
+    return min(idx, cumulative.size - 1)
 
 
 def consensus_step(state: NetworkState, candidate: ClusterCandidate) -> NetworkState:
@@ -198,16 +204,16 @@ def _run_chunk(
     sums = [(error.sum(), 0.0)]
     stop = np.where(error < scenario.threshold, 0, scenario.max_iters)
     live = np.flatnonzero(error >= scenario.threshold)
-    width = used = 0
+    block = np.empty((len(rngs), _BLOCK))
+    used = _BLOCK
     for t in range(1, scenario.max_iters + 1):
         if live.size == 0:
             break
-        if used == width:
+        if used == _BLOCK:
             # Generator.random(k) yields the doubles of k scalar random() calls.
-            width, used = min(2 * width, _MAX_BLOCK) if width else _FIRST_BLOCK, 0
-            block = np.empty((len(rngs), width))
             for r in live:
                 rngs[r].random(out=block[r])
+            used = 0
         drawn = np.searchsorted(cumulative, block[live, used], side="right")
         drawn = np.minimum(drawn, cumulative.size - 1)
         used += 1
@@ -246,18 +252,12 @@ def monte_carlo(
     if scenario.max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {scenario.max_iters}")
     cands, costs = scenario.candidates, np.asarray(scenario.costs_l1, dtype=float)
-    p = np.asarray(scenario.p, dtype=float)
-    if not 0 < p.size == len(cands) == costs.size:
+    if not 0 < np.size(scenario.p) == len(cands) == costs.size:
         raise ValueError("p, candidates and costs_l1 differ in length or are empty")
-    if any(not 0 <= m < scenario.n for c in cands for m in c.members):
-        raise ValueError(f"a candidate has a member outside [0, {scenario.n})")
-    cumulative = np.cumsum(p)
-    if not (np.all(p >= 0) and abs(cumulative[-1] - 1.0) <= 1e-6):
-        raise ValueError(f"p must be nonnegative and sum to 1, got sum {cumulative[-1]}")
-
-    # Candidate i's members are flat[offset[i] : offset[i] + size_of[i]].
-    size_of = np.array([c.size for c in cands])
-    flat = np.concatenate([c.members for c in cands])
+    # flat[offset[i] : offset[i] + size_of[i]] holds candidate i's members, ascending.
+    rows, flat = np.nonzero(membership(cands, scenario.n))
+    size_of = np.bincount(rows, minlength=len(cands))
+    cumulative = _cumulative(scenario.p)
     tables = (size_of, np.cumsum(size_of) - size_of, flat, costs)
     total, iterations, finals, terminated = np.zeros((2, 1)), [], [], 0
     for start in range(0, runs, _CHUNK_RUNS):

@@ -1,14 +1,14 @@
 """Node placement and pairwise squared-distance geometry.
 
 Every other part of the pipeline (clustering, energy accounting, mixing
-analysis) reads the squared-distance matrix, so it is computed once here
-and cached on the topology object.
+analysis) reads the squared-distance matrix, so a topology computes it once
+from its positions and keeps it; nothing else can set it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,28 +39,27 @@ def squared_distance_matrix(positions: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable node layout plus cached squared-distance matrix.
+    """Immutable node layout and the squared-distance matrix derived from it.
 
     Attributes:
-        positions: (n, 2) coordinates.
-        d_sq: (n, n) pairwise squared distances.
+        positions: (n, 2) finite coordinates, stored as a read-only float array.
+        d_sq: (n, n) pairwise squared distances, computed from ``positions``.
     """
 
     positions: np.ndarray
-    d_sq: np.ndarray
+    d_sq: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.positions.ndim != 2 or self.positions.shape[1] != 2:
-            raise ConfigurationError(
-                f"positions must have shape (n, 2), got {self.positions.shape}"
-            )
-        n = self.positions.shape[0]
-        if n < 2:
-            raise ConfigurationError(f"topology needs at least 2 nodes, got {n}")
-        if self.d_sq.shape != (n, n):
-            raise ConfigurationError(
-                f"d_sq shape {self.d_sq.shape} does not match {n} positions"
-            )
+        try:
+            pos = np.array(self.positions, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"positions must be an array of numbers: {exc}") from exc
+        if not np.all(np.isfinite(pos)):
+            raise ConfigurationError("positions must all be finite")
+        d_sq = squared_distance_matrix(pos)
+        for name, array in (("positions", pos), ("d_sq", d_sq)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:
@@ -68,14 +67,8 @@ class Topology:
 
     @classmethod
     def from_positions(cls, positions) -> "Topology":
-        """Build a topology from explicit coordinates, recomputing d_sq."""
-        pos = np.array(positions, dtype=float)
-        if not np.all(np.isfinite(pos)):
-            raise ConfigurationError("positions must all be finite")
-        topo = cls(positions=pos, d_sq=squared_distance_matrix(pos))
-        pos.setflags(write=False)
-        topo.d_sq.setflags(write=False)
-        return topo
+        """Build a topology from explicit coordinates."""
+        return cls(positions)
 
 
 def generate_topology(n: int, side: float, seed: int) -> Topology:
@@ -98,7 +91,7 @@ def load_topology(path: str | Path) -> Topology:
         raise ConfigurationError(f"topology file not found: {p}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ConfigurationError(f"topology file {p} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "positions" not in data:
         raise ConfigurationError(f'topology file {p} must contain a "positions" key')

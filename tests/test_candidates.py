@@ -156,8 +156,12 @@ def test_prune_preserves_distinct_weight_matrices():
         lambda cands: xi(np.array([1.0]), cands, 2),
         lambda cands: objective_subgradient(np.array([1.0]), cands, [1.0], 0.0, 2),
         lambda cands: cost_rows(cands, Topology.from_positions(np.zeros((2, 2))), EnergyParams()),
+        lambda cands: build_weight_matrix(cands[0], 2),
     ],
-    ids=["optimize", "mixing_matrix", "xi", "objective_subgradient", "cost_rows"],
+    ids=[
+        "optimize", "mixing_matrix", "xi", "objective_subgradient", "cost_rows",
+        "build_weight_matrix",
+    ],
 )
 @pytest.mark.parametrize("head,members", [(0, (0, 1, 2)), (2, (0, 1, 2)), (-1, (-1, 0))])
 def test_member_outside_range_names_n(call, head, members):

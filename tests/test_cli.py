@@ -1,8 +1,11 @@
 import json
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import clustergossip.cli as cli
 from clustergossip import (
@@ -113,6 +116,7 @@ def test_config_defaults():
         ({"area_side": 10**400}, "area_side"),
         ({"epsilon": 10**400}, "epsilon"),
         ({"alphas": [10**400]}, "alphas"),
+        ({"area_side": 10**5000}, "area_side"),
     ],
 )
 def test_config_rejections_name_the_key(overrides, key):
@@ -398,3 +402,80 @@ def test_main_rejects_negative_seed(tmp_path, capsys):
     assert main(["run", "--config", str(config_path), "--seed", "-1"]) == EXIT_CONFIG_ERROR
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_costs_exit_1(tmp_path, capsys):
+    """Coordinates or energy keys whose costs pass the float range are a config
+    error naming the keys, not a traceback from the optimizer."""
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps({"positions": [[0, 0], [1e200, 0], [0, 1e200]]}))
+    for overrides in (
+        {"topology_file": str(far), "cluster_size_max": None},
+        {"topology_file": str(far), "cluster_size_max": None, "eps_amp": 1e-300},
+        {"area_side": 1e300},
+        {"eps_amp": 1e307},
+    ):
+        path = _write_config(tmp_path, runs=2, **overrides)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG_ERROR
+        assert "eps_amp" in capsys.readouterr().err
+
+
+_odd_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.integers(10**299, 10**300),
+    st.integers(-(10**300), -(10**299)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+)
+_config_values = st.one_of(
+    _odd_values,
+    st.lists(_odd_values, max_size=3),
+    st.dictionaries(st.text(max_size=3), _odd_values, max_size=2),
+)
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from([f.name for f in fields(ExperimentConfig)] + ["no_such_knob"]),
+        _config_values,
+        max_size=6,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_validate_never_raises_on_fuzzed_configs(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(path)]) in (EXIT_OK, EXIT_CONFIG_ERROR)
+
+
+_coordinate = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**400), 10**400),
+)
+_row = st.one_of(
+    st.lists(_coordinate, min_size=2, max_size=2),
+    st.lists(st.one_of(_coordinate, _odd_values), max_size=4),
+    _odd_values,
+)
+_positions = st.one_of(
+    _odd_values,
+    st.lists(_row, max_size=6),
+    st.lists(st.lists(_row, max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=2), _row, max_size=2),
+)
+
+
+@given(_positions)
+@settings(max_examples=200, deadline=None)
+def test_candidates_never_raises_on_malformed_topology_files(positions):
+    """Strings, nulls, bools, ragged or short rows, dicts, huge integers and
+    non-finite numbers as positions: exit 0 or 1, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        topo_file = Path(tmp) / "nodes.json"
+        topo_file.write_text(json.dumps({"positions": positions}))
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({"topology_file": str(topo_file)}))
+        assert main(["candidates", "--config", str(path)]) in (EXIT_OK, EXIT_CONFIG_ERROR)

@@ -165,6 +165,19 @@ def test_subgradient_symmetric_two_pair():
     np.testing.assert_allclose(g, [0.75, 0.75], atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "p,costs,name",
+    [
+        (np.array([0.5, 0.5]), [1.0], "costs"),  # was broadcast to both candidates
+        (np.array([1.0]), [1.0, 2.0], "p"),
+        (np.array([0.25, 0.25, 0.5]), [1.0, 2.0], "p"),
+    ],
+)
+def test_subgradient_rejects_wrong_lengths(p, costs, name):
+    with pytest.raises(ValueError, match=rf"^{name}: shape .*, expected \(2,\)"):
+        objective_subgradient(p, [PAIR_01, PAIR_12], costs, 1.0, 3)
+
+
 def test_subgradient_regularizer_is_additive():
     p = np.array([0.5, 0.5])
     costs = np.array([50.0, 130.0])

@@ -77,6 +77,13 @@ def test_sample_cluster_rejects_non_pmf():
         sample_cluster(np.array([0.5, 0.6]), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("p", [[np.nan, 1.0], [1.5, -0.5], [-0.25, 1.25]])
+def test_sample_cluster_rejects_what_monte_carlo_rejects(p):
+    """NaN or negative entries, which monte_carlo rejects too; [1.5, -0.5] even sums to 1."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_cluster(np.array(p), np.random.default_rng(0))
+
+
 def test_consensus_step_pair_average():
     state = NetworkState(y=np.array([0.0, 10.0, 20.0]))
     after = consensus_step(state, ClusterCandidate(head=1, members=(0, 1)))
@@ -365,10 +372,13 @@ def _random_scenarios(draw):
     st.integers(1, 40),
     st.integers(0, 10_000),
     st.sampled_from([1, 3, 7, simulator._CHUNK_RUNS]),
+    st.sampled_from([1, 5, simulator._BLOCK]),
 )
 @settings(max_examples=60, deadline=None)
-def test_monte_carlo_matches_run_trial_average(scenario, runs, base_seed, chunk):
-    with mock.patch.object(simulator, "_CHUNK_RUNS", chunk):
+def test_monte_carlo_matches_run_trial_average(scenario, runs, base_seed, chunk, block):
+    with mock.patch.object(simulator, "_CHUNK_RUNS", chunk), mock.patch.object(
+        simulator, "_BLOCK", block
+    ):
         avg = monte_carlo(scenario, runs, base_seed)
         one = monte_carlo(scenario, 1, base_seed)
     traces, ref = _reference_average(scenario, runs, base_seed)

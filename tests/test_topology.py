@@ -109,3 +109,42 @@ def test_load_topology_rejects_garbage(tmp_path):
     path.write_text(json.dumps({"positions": [[0.0, 0.0], [1.0, float("inf")]]}))
     with pytest.raises(ConfigurationError, match="finite"):
         load_topology(path)
+
+
+def test_topology_derives_d_sq_from_its_positions():
+    """d_sq is no constructor argument, so it cannot disagree with positions."""
+    t = Topology([[0, 0], [3, 4], [10, 0]])
+    np.testing.assert_array_equal(t.d_sq, squared_distance_matrix(t.positions))
+    assert t.positions.dtype == float
+    assert not t.positions.flags.writeable and not t.d_sq.flags.writeable
+    with pytest.raises(TypeError):
+        Topology(positions=np.zeros((2, 2)), d_sq=np.ones((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        "abc",
+        None,
+        True,
+        {"x": [0, 1]},
+        [[0, 0], [1]],
+        [[0, 0]],
+        [[0, 0, 0], [1, 1, 1]],
+        [[[0, 0]], [[1, 1]]],
+        [],
+        [[0, "x"], [1, 1]],
+        [[0, 0], [1, 10**400]],
+        [[0, 0], [1, float("nan")]],
+    ],
+)
+def test_topology_rejects_malformed_positions(positions):
+    with pytest.raises(ConfigurationError, match="positions"):
+        Topology.from_positions(positions)
+
+
+def test_load_topology_rejects_overlong_integer(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"positions": [[0, 0], [1, ' + "1" * 5000 + "]]}")  # past int-string limits
+    with pytest.raises(ConfigurationError):
+        load_topology(path)
