@@ -19,7 +19,7 @@ import numpy as np
 
 from .candidates import ClusterCandidate, enumerate_candidates, prune_dominated
 from .energy import EnergyParams, cost_rows
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, is_finite_number
 from .optimizer import OptimizerOptions, optimize
 from .simulator import AveragedTrace, SimulationScenario, monte_carlo
 from .topology import Topology, generate_topology, load_topology
@@ -78,11 +78,6 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite(value: Any) -> bool:
-    # abs() compares exactly, so an int too large for a float is rejected, not raised on.
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-
-
 def _show(value: Any) -> str:
     """repr(value), except that an int of over 1000 bits, which str() may refuse, is sized."""
     if _is_int(value) and value.bit_length() > 1000:
@@ -93,10 +88,10 @@ def _show(value: Any) -> str:
 # The check and its noun for each ExperimentConfig annotation; "X | None" also admits None.
 _TYPE_RULES = {
     "int": (_is_int, "an integer"),
-    "float": (_is_finite, "a finite number"),
+    "float": (is_finite_number, "a finite number"),
     "str": (lambda value: isinstance(value, str), "a string"),
     "tuple[float, ...]": (
-        lambda value: isinstance(value, tuple) and all(map(_is_finite, value)),
+        lambda value: isinstance(value, tuple) and all(map(is_finite_number, value)),
         "a list of finite numbers",
     ),
 }

@@ -16,9 +16,10 @@ over three phases with step multipliers 1, 0.1 and 0.01. The first phase
 locates the active region; later phases shrink the oscillation band around
 the optimum so the best iterate is accurate to ~1e-4 in objective on small
 instances, which a single 1/sqrt(t) schedule does not reliably reach within
-the same budget. Every single-candidate vertex is also evaluated, in closed
-form: a lone cluster with s < n members leaves the other nodes fixed
-(xi = 1), and the all-node cluster has W = J (xi = 0), so it is found exactly.
+the same budget. Single-candidate vertices need no search: a lone cluster
+with s < n members leaves the other nodes fixed (xi = 1), so only the
+all-node cluster (W = J, xi = 0) can win, and it goes through the same
+evaluation as every iterate.
 W(p) is built from the (C, n) 0/1 membership matrix M and the cluster sizes
 s as ``(sum p) I - diag(M'p) + M' diag(p/s) M``, also off the simplex.
 """
@@ -46,12 +47,15 @@ __all__ = [
 
 _ASYMMETRY_TOL = 1e-9
 _RESIDUAL_TOL = 1e-9
-# Fixed schedule: step multipliers over an even split of the budget, the stall window
+# Fixed schedule: iteration budget, step multipliers over an even split of it, the stall window
 # and tolerance that end a phase early, and the floor at or below which p_i is zeroed.
+_MAX_ITERS = 5000
 _STEP_PHASES = (1.0, 0.1, 0.01)
 _STALL_WINDOW = 500
 _STALL_TOL = 1e-6
 _SUPPORT_FLOOR = 1e-6
+# How far from 1 the sum of a projected vector may drift before float precision has lost it.
+_SIMPLEX_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,20 +66,16 @@ class OptimizerOptions:
         alpha: weight of the energy regularizer, >= 0.
         epsilon: connectivity margin; the result is feasible when
             xi <= 1 - epsilon.
-        max_iters: total projected-subgradient iteration budget.
     """
 
     alpha: float = 0.0
     epsilon: float = 1e-2
-    max_iters: int = 5000
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -136,15 +136,19 @@ def symmetric_top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return top, vec
 
 
+def _deflated_top(w: np.ndarray, n: int) -> tuple[float, np.ndarray]:
+    """Top eigenvalue of W - J clipped to [0, 1] (xi), and its unit eigenvector."""
+    top, v = symmetric_top_eigenpair(w - 1.0 / n)
+    return min(max(top, 0.0), 1.0), v
+
+
 def xi(p: np.ndarray, candidates: Sequence[ClusterCandidate], n: int) -> float:
     """Second-largest eigenvalue of W(p), clipped to [0, 1].
 
     Computed as the largest eigenvalue of W(p) - J, which deflates the
     always-present top eigenpair of W(p).
     """
-    w = mixing_matrix(p, candidates, n)
-    top, _ = symmetric_top_eigenpair(w - np.full((n, n), 1.0 / n))
-    return min(max(top, 0.0), 1.0)
+    return _deflated_top(mixing_matrix(p, candidates, n), n)[0]
 
 
 def objective_subgradient(
@@ -165,7 +169,7 @@ def objective_subgradient(
     costs_arr = per_candidate(costs, candidates, "costs")
     members = membership(candidates, n)
     sizes = members.sum(axis=1)
-    _, v = symmetric_top_eigenpair(_mixture(p, members, sizes) - 1.0 / n)
+    _, v = _deflated_top(_mixture(p, members, sizes), n)
     return _spectral_subgradient(v, members, sizes) + alpha * costs_arr
 
 
@@ -173,7 +177,9 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex.
 
     Sort-based thresholding: find the largest k for which shifting the top
-    k entries by a common offset lands on the simplex, then clip.
+    k entries by a common offset lands on the simplex, then clip. Raises
+    NumericalError when the entries are so large that float precision loses
+    the simplex (k = 1 always qualifies in exact arithmetic).
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -183,9 +189,13 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     shifted = np.cumsum(u) - 1.0
     ks = np.arange(1, v.size + 1)
-    rho = np.nonzero(u - shifted / ks > 0)[0][-1]
-    tau = shifted[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    qualifying = np.nonzero(u - shifted / ks > 0)[0]
+    if qualifying.size:
+        rho = qualifying[-1]
+        projected = np.maximum(v - shifted[rho] / (rho + 1.0), 0.0)
+        if abs(projected.sum() - 1.0) <= _SIMPLEX_TOL:
+            return projected
+    raise NumericalError(f"simplex projection lost to float precision at |v| {np.abs(v).max():g}")
 
 
 def optimize(
@@ -203,10 +213,10 @@ def optimize(
     search alternates in the classic switching-subgradient fashion: at an
     iterate violating the margin it steps along the spectral subgradient
     alone (restoring connectivity), otherwise along the full objective
-    subgradient. The best margin-satisfying iterate seen anywhere --
-    including all single-candidate vertices, which are evaluated exactly
-    -- is kept, zeroed at or below 1e-6, renormalized and re-evaluated;
-    all reported figures refer to that final vector.
+    subgradient. The best margin-satisfying point seen anywhere -- an
+    iterate or the all-node vertex, both evaluated alike -- is kept, zeroed
+    at or below 1e-6, renormalized and re-evaluated; all reported figures
+    refer to that final vector.
 
     Deterministic: uniform start, fixed phase schedule.
 
@@ -223,70 +233,55 @@ def optimize(
     members = membership(candidates, n)
     sizes = members.sum(axis=1)
     alpha = options.alpha
+    if not np.isfinite(float(alpha) * float(costs_arr.max())):  # Python floats overflow to inf
+        raise NumericalError(f"alpha {alpha:g} times the candidate costs overflows a float")
+    weighted_costs = alpha * costs_arr
+    margin = 1.0 - options.epsilon
 
-    def evaluate(p: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-        eigenvalues, eigenvectors = np.linalg.eigh(_mixture(p, members, sizes) - 1.0 / n)
-        xi_val = min(max(float(eigenvalues[-1]), 0.0), 1.0)
+    # A point's record is (key, p, xi, cost, v), keyed (0, obj) once p meets the margin and
+    # (1, xi) before, so any margin-meeting point wins and the best key's sum never rises.
+    def evaluate(p: np.ndarray) -> tuple[tuple[int, float], np.ndarray, float, float, np.ndarray]:
+        xi_val, v = _deflated_top(_mixture(p, members, sizes), n)
         cost_val = float(costs_arr @ p)
         obj = xi_val + alpha * cost_val
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite: {obj}")
-        return obj, xi_val, cost_val, eigenvectors[:, -1]
+        return ((0, obj) if xi_val <= margin else (1, xi_val)), p, xi_val, cost_val, v
 
-    margin = 1.0 - options.epsilon
-    p = np.full(c_count, 1.0 / c_count)
-    obj, xi_val, _, v = evaluate(p)
-    # The best point so far, keyed (0, obj) once it meets the margin and
-    # (1, xi) before: any margin-meeting point beats every violating one.
-    # The key's sum is the stall measure, which improves monotonically.
-    best_key, best_p = (2, 0.0), p
-
-    def note(obj: float, xi_val: float, p: np.ndarray) -> None:
-        nonlocal best_key, best_p
-        key = (0, obj) if xi_val <= margin else (1, xi_val)
-        if key < best_key:
-            best_key, best_p = key, p.copy()
-
-    note(obj, xi_val, p)
-
-    # Vertex sweep in closed form: a lone cluster with s < n has xi = 1, so it can
-    # neither meet the margin nor beat the start; only all-node ones (xi = 0) count.
+    point = best = evaluate(np.full(c_count, 1.0 / c_count))
+    # A lone cluster with s < n has xi = 1, so it can neither meet the margin nor
+    # beat the start; only all-node ones (xi = 0) are evaluated.
     for i in np.flatnonzero(sizes == n):
-        vertex = np.zeros(c_count)
-        vertex[i] = 1.0
-        note(alpha * costs_arr[i], 0.0, vertex)
+        best = min(best, evaluate(np.eye(1, c_count, i)[0]), key=lambda record: record[0])
 
-    per_phase = max(1, options.max_iters // len(_STEP_PHASES))
+    per_phase = _MAX_ITERS // len(_STEP_PHASES)
     for scale in _STEP_PHASES:
-        anchor = sum(best_key)
+        anchor = sum(best[0])
         for t in range(1, per_phase + 1):
-            spectral = _spectral_subgradient(v, members, sizes)
-            if xi_val > margin:
-                g = spectral
-            else:
-                g = spectral + alpha * costs_arr
-            p = project_simplex(p - (scale / np.sqrt(t)) * g)
-            obj, xi_val, _, v = evaluate(p)
-            note(obj, xi_val, p)
+            _, p, xi_val, _, v = point
+            g = _spectral_subgradient(v, members, sizes)
+            if xi_val <= margin:
+                g = g + weighted_costs
+            point = evaluate(project_simplex(p - (scale / np.sqrt(t)) * g))
+            best = min(best, point, key=lambda record: record[0])
             if t % _STALL_WINDOW == 0:
-                if anchor - sum(best_key) < _STALL_TOL:
+                if anchor - sum(best[0]) < _STALL_TOL:
                     break
-                anchor = sum(best_key)
-        # Next phase restarts its step schedule from the best point so far.
-        p = best_p.copy()
-        obj, xi_val, _, v = evaluate(p)
+                anchor = sum(best[0])
+        point = best  # the next phase restarts its step schedule from the best point
 
     # Zero probabilities at or below the floor and renormalize (all-zero: keep
     # the largest). This is the only place the support is decided.
+    best_p = best[1]
     final_p = np.where(best_p <= _SUPPORT_FLOOR, 0.0, best_p)
     if final_p.sum() <= 0.0:
         final_p[np.argmax(best_p)] = 1.0
     final_p /= final_p.sum()
-    obj, xi_val, cost_val, _ = evaluate(final_p)
+    _, _, xi_val, cost_val, _ = evaluate(final_p)
     return ActivationDistribution(
         p=final_p,
         xi=xi_val,
         expected_cost_l1=cost_val,
-        objective=obj,
+        objective=xi_val + alpha * cost_val,
         feasible=xi_val <= margin,
     )

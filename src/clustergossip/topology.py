@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_finite_number
 
 __all__ = ["Topology", "squared_distance_matrix", "generate_topology", "load_topology"]
 
@@ -54,8 +54,9 @@ class Topology:
             pos = np.array(self.positions, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"positions must be an array of numbers: {exc}") from exc
-        if not np.all(np.isfinite(pos)):
-            raise ConfigurationError("positions must all be finite")
+        # numpy converts "0" and true as well, so each entry (as a Python scalar) must be a number.
+        if not all(map(is_finite_number, np.array(self.positions, dtype=object).flat)):
+            raise ConfigurationError("positions must all be finite numbers")
         d_sq = squared_distance_matrix(pos)
         for name, array in (("positions", pos), ("d_sq", d_sq)):
             array.setflags(write=False)

@@ -310,6 +310,16 @@ def test_main_numerical_and_usage_exit_codes(tmp_path, monkeypatch, capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("alpha", [1e16, 1e300, 1e304])
+def test_huge_alpha_exits_numerical_error(tmp_path, capsys, alpha):
+    """alpha * costs loses the simplex to float precision (1e16, 1e300) or
+    overflows (1e304); both end in one line and exit 4, not a traceback."""
+    config_path = _write_config(tmp_path, alphas=[alpha], runs=2)
+    assert main(["run", "--config", str(config_path)]) == EXIT_NUMERICAL_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+
+
 def test_summary_support_is_every_nonzero_probability(tmp_path, monkeypatch):
     results, real_optimize = [], cli.optimize
 

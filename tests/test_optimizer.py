@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from clustergossip import (
     ClusterCandidate,
     EnergyParams,
+    NumericalError,
     Topology,
     build_weight_matrix,
     candidate_cost_l1,
@@ -245,6 +246,18 @@ def test_project_simplex_properties(values):
     np.testing.assert_allclose(project_simplex(p), p, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "v",
+    [
+        [1e16, 0.0],  # u1 - (u1 - 1) rounds to 0, so no k qualifies
+        [6e15, 6e15],  # only k = 1 qualifies, and the shift by u1 - 1 gives [1, 1]
+    ],
+)
+def test_project_simplex_raises_when_float_precision_loses_the_simplex(v):
+    with pytest.raises(NumericalError, match="float precision"):
+        project_simplex(np.array(v))
+
+
 def test_optimize_single_full_cluster():
     r = optimize([FULL_3], np.array([225.0]), 3, OptimizerOptions(alpha=0.0))
     np.testing.assert_array_equal(r.p, [1.0])
@@ -349,6 +362,35 @@ def test_optimizer_options_validation():
     with pytest.raises(ValueError):
         OptimizerOptions(epsilon=1.0)
     with pytest.raises(ValueError):
-        OptimizerOptions(max_iters=0)
-    with pytest.raises(ValueError):
         OptimizerOptions(alpha=-1e-3)
+
+
+def test_optimize_checks_every_eigenpair(monkeypatch):
+    """The solver's eigensolves go through the residual check, so a wrong
+    eigenvector stops the run instead of steering it."""
+    eigh = np.linalg.eigh
+
+    def perturbed(a):
+        values, vectors = eigh(a)
+        vectors[:, -1] += 1e-3
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(NumericalError, match="residual"):
+        optimize([PAIR_01, PAIR_12], [1.0, 1.0], 3, OptimizerOptions())
+
+
+@given(
+    alpha=st.floats(0.0, 1e308),
+    costs=st.lists(st.floats(0.0, 1e3), min_size=3, max_size=3),
+)
+@settings(max_examples=15, deadline=None)
+def test_optimize_huge_alpha_gives_a_result_or_numerical_error(alpha, costs):
+    """Float precision may lose the simplex for a large alpha; that must end in
+    NumericalError, never another exception or a point off the simplex."""
+    try:
+        r = optimize([PAIR_01, PAIR_12, FULL_3], costs, 3, OptimizerOptions(alpha=alpha))
+    except NumericalError:
+        return
+    assert np.all(r.p >= 0.0) and r.p.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.isfinite(r.objective) and 0.0 <= r.xi <= 1.0

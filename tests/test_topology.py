@@ -136,11 +136,28 @@ def test_topology_derives_d_sq_from_its_positions():
         [[0, "x"], [1, 1]],
         [[0, 0], [1, 10**400]],
         [[0, 0], [1, float("nan")]],
+        [["0", "0"], ["3", "4"], [True, False]],
+        [[True, 0], [1, 2]],
+        np.array([[True, False], [False, True]]),
     ],
 )
 def test_topology_rejects_malformed_positions(positions):
     with pytest.raises(ConfigurationError, match="positions"):
         Topology.from_positions(positions)
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        [[0, 0], [3.0, 4]],
+        np.array([[0, 0], [3, 4]], dtype=np.int64),
+        np.array([[0, 0], [3, 4]], dtype=np.uint8),
+        np.array([[0, 0], [3, 4]], dtype=np.float32),
+    ],
+)
+def test_topology_accepts_numbers_and_numeric_arrays(positions):
+    t = Topology.from_positions(positions)
+    assert t.positions.dtype == float and t.d_sq[0, 1] == 25.0
 
 
 def test_load_topology_rejects_overlong_integer(tmp_path):
