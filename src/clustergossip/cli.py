@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -40,6 +41,7 @@ EXIT_CONFIG_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO_ERROR = 3
 EXIT_NUMERICAL_ERROR = 4
+EXIT_INTERNAL_ERROR = 5
 
 _PRICE_BLOCK = 1024
 
@@ -253,6 +255,9 @@ def run_sweep(config: ExperimentConfig) -> int:
             "mean_iterations_to_threshold": None,
             "mean_energy_at_threshold": None,
             "terminated_runs": None,
+            "lower_bound": result.lower_bound,
+            "gap": result.gap,
+            "iterations": result.iterations,
         }
         if result.feasible:
             scenario = SimulationScenario(
@@ -366,6 +371,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
+    except Exception as exc:  # a bug, not a bad input: keep the traceback, but not exit 1
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def entrypoint() -> None:

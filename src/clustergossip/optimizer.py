@@ -22,6 +22,17 @@ all-node cluster (W = J, xi = 0) can win, and it goes through the same
 evaluation as every iterate.
 W(p) is built from the (C, n) 0/1 membership matrix M and the cluster sizes
 s as ``(sum p) I - diag(M'p) + M' diag(p/s) M``, also off the simplex.
+
+Certified stop (weak duality, Boyd & Vandenberghe, Convex Optimization,
+ch. 5): for any PSD Z with trace 1, ``lambda_max(W(p) - J) >= <Z, W(p) - J>``,
+so ``LB(Z) = min_i(<Z, W_i> + alpha c_i) - <Z, J>`` bounds the objective from
+below on the whole simplex, margin or not. Z is the running mean of v v'
+over the eigenvectors the solver already computes (the start point and
+every step's iterate), so <Z, W_i> is the running mean of the subgradient
+coordinates v' W_i v and the bound costs O(C) per step. It is evaluated at
+the start of each phase and every stall window, the largest value is kept,
+and the solve stops once the best point meets the margin and its objective
+is within 1e-9 * max(1, |objective|) of the bound.
 """
 
 from __future__ import annotations
@@ -54,6 +65,9 @@ _STEP_PHASES = (1.0, 0.1, 0.01)
 _STALL_WINDOW = 500
 _STALL_TOL = 1e-6
 _SUPPORT_FLOOR = 1e-6
+# The solve stops once the best point's objective is within this much (times max(1, |obj|)) of
+# the dual lower bound.
+_GAP_TOL = 1e-9
 # How far from 1 the sum of a projected vector may drift before float precision has lost it.
 _SIMPLEX_TOL = 1e-6
 
@@ -85,6 +99,10 @@ class ActivationDistribution:
     When feasible is False the fields describe the iterate with the
     smallest xi found, which documents how far from connectivity the
     candidate set is.
+
+    ``lower_bound`` is the weak-duality bound on the objective over the whole
+    simplex, ``gap`` is ``objective - lower_bound`` (None when infeasible) and
+    ``iterations`` counts the solver steps taken.
     """
 
     p: np.ndarray
@@ -92,6 +110,9 @@ class ActivationDistribution:
     expected_cost_l1: float
     objective: float
     feasible: bool
+    lower_bound: float
+    gap: float | None
+    iterations: int
 
 
 def _mixture(p: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -218,7 +239,12 @@ def optimize(
     at or below 1e-6, renormalized and re-evaluated; all reported figures
     refer to that final vector.
 
-    Deterministic: uniform start, fixed phase schedule.
+    Deterministic: uniform start, fixed phase schedule. The schedule ends
+    early once the dual lower bound (see the module docstring) certifies the
+    best point to within 1e-9 relative; the result reports that bound, the
+    gap to it and the number of steps taken. If zeroing the support would
+    push the best point's xi over the margin, the unfloored point is
+    returned.
 
     When no iterate meets the margin the result carries ``feasible=False``
     and describes the smallest-xi iterate instead.
@@ -238,15 +264,20 @@ def optimize(
     weighted_costs = alpha * costs_arr
     margin = 1.0 - options.epsilon
 
-    # A point's record is (key, p, xi, cost, v), keyed (0, obj) once p meets the margin and
+    # A point's record is (key, p, xi, cost, g, j), keyed (0, obj) once p meets the margin and
     # (1, xi) before, so any margin-meeting point wins and the best key's sum never rises.
-    def evaluate(p: np.ndarray) -> tuple[tuple[int, float], np.ndarray, float, float, np.ndarray]:
+    # g_i = v' W_i v and j = v' J v, for v the unit top eigenvector of W(p) - J.
+    def evaluate(
+        p: np.ndarray,
+    ) -> tuple[tuple[int, float], np.ndarray, float, float, np.ndarray, float]:
         xi_val, v = _deflated_top(_mixture(p, members, sizes), n)
         cost_val = float(costs_arr @ p)
         obj = xi_val + alpha * cost_val
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite: {obj}")
-        return ((0, obj) if xi_val <= margin else (1, xi_val)), p, xi_val, cost_val, v
+        key = (0, obj) if xi_val <= margin else (1, xi_val)
+        g = _spectral_subgradient(v, members, sizes)
+        return key, p, xi_val, cost_val, g, float(v.sum()) ** 2 / n
 
     point = best = evaluate(np.full(c_count, 1.0 / c_count))
     # A lone cluster with s < n has xi = 1, so it can neither meet the margin nor
@@ -254,34 +285,59 @@ def optimize(
     for i in np.flatnonzero(sizes == n):
         best = min(best, evaluate(np.eye(1, c_count, i)[0]), key=lambda record: record[0])
 
+    # Sums of <v v', W_i> and <v v', J> over the start point and every step's iterate, whose
+    # mean is the dual Z of the module docstring (the all-node vertex's v is arbitrary, as
+    # W - J = 0 there, so it is left out). The bound starts at 0: xi >= 0 and costs >= 0.
+    z_w, z_j = point[4].copy(), point[5]
+    lower, iterations = 0.0, 0
     per_phase = _MAX_ITERS // len(_STEP_PHASES)
     for scale in _STEP_PHASES:
-        anchor = sum(best[0])
-        for t in range(1, per_phase + 1):
-            _, p, xi_val, _, v = point
-            g = _spectral_subgradient(v, members, sizes)
-            if xi_val <= margin:
-                g = g + weighted_costs
-            point = evaluate(project_simplex(p - (scale / np.sqrt(t)) * g))
-            best = min(best, point, key=lambda record: record[0])
+        for t in range(per_phase + 1):
+            if t > 0:  # t = 0 only checks the phase's starting best point
+                _, p, xi_val, _, g, _ = point
+                if xi_val <= margin:
+                    g = g + weighted_costs
+                point = evaluate(project_simplex(p - (scale / np.sqrt(t)) * g))
+                best = min(best, point, key=lambda record: record[0])
+                iterations += 1
+                z_w += point[4]
+                z_j += point[5]
             if t % _STALL_WINDOW == 0:
-                if anchor - sum(best[0]) < _STALL_TOL:
+                seen = iterations + 1
+                lower = max(lower, float(np.min(z_w / seen + weighted_costs)) - z_j / seen)
+                if _gap_closed(best[0], lower) or (t > 0 and anchor - sum(best[0]) < _STALL_TOL):
                     break
                 anchor = sum(best[0])
+        if _gap_closed(best[0], lower):
+            break
         point = best  # the next phase restarts its step schedule from the best point
 
     # Zero probabilities at or below the floor and renormalize (all-zero: keep
-    # the largest). This is the only place the support is decided.
+    # the largest). This is the only place the support is decided, and it may not
+    # break the margin: if it does, the unfloored best point is returned.
     best_p = best[1]
     final_p = np.where(best_p <= _SUPPORT_FLOOR, 0.0, best_p)
     if final_p.sum() <= 0.0:
         final_p[np.argmax(best_p)] = 1.0
     final_p /= final_p.sum()
-    _, _, xi_val, cost_val, _ = evaluate(final_p)
+    final = evaluate(final_p)
+    if final[0][0] > best[0][0]:
+        final = best
+    key, p, xi_val, cost_val, _, _ = final
+    objective = xi_val + alpha * cost_val
+    feasible = key[0] == 0
     return ActivationDistribution(
-        p=final_p,
+        p=p,
         xi=xi_val,
         expected_cost_l1=cost_val,
-        objective=xi_val + alpha * cost_val,
-        feasible=xi_val <= margin,
+        objective=objective,
+        feasible=feasible,
+        lower_bound=lower,
+        gap=objective - lower if feasible else None,
+        iterations=iterations,
     )
+
+
+def _gap_closed(key: tuple[int, float], lower: float) -> bool:
+    """Whether a best point keyed as in ``optimize`` meets the margin and closes the gap."""
+    return key[0] == 0 and key[1] - lower <= _GAP_TOL * max(1.0, abs(key[1]))

@@ -19,6 +19,7 @@ from clustergossip import (
 from clustergossip.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INFEASIBLE,
+    EXIT_INTERNAL_ERROR,
     EXIT_IO_ERROR,
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
@@ -308,6 +309,49 @@ def test_main_numerical_and_usage_exit_codes(tmp_path, monkeypatch, capsys):
     assert "usage:" in capsys.readouterr().err
     assert main(["--help"]) == EXIT_OK
     assert "usage:" in capsys.readouterr().out
+
+
+def test_main_internal_error_exits_5(tmp_path, monkeypatch, capsys):
+    """A bug is not a bad config: it keeps its traceback and exits 5, not 1."""
+    config_path = _write_config(tmp_path, alphas=[0.0], runs=2)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "optimize", broken)
+    assert main(["run", "--config", str(config_path)]) == EXIT_INTERNAL_ERROR == 5
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: boom" in err
+    assert err.splitlines()[-1] == "internal error: RuntimeError('boom')"
+
+
+def test_summary_reports_bound_gap_and_iterations(tmp_path, monkeypatch):
+    results, real_optimize = [], cli.optimize
+
+    def recording_optimize(*args, **kwargs):
+        results.append(real_optimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "optimize", recording_optimize)
+    config = load_config(_write_config(tmp_path, alphas=[0.0, 1e-3]))
+    assert run_sweep(config) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    for entry, result in zip(summary, results, strict=True):
+        assert entry["lower_bound"] == result.lower_bound <= entry["objective"] + 1e-12
+        assert entry["gap"] == entry["objective"] - entry["lower_bound"]
+        assert entry["iterations"] == result.iterations
+
+    # a split field: no point meets the margin, so the gap is undefined
+    far = [[0.0, 0.0], [1.0, 0.0], [1e5, 0.0], [1e5 + 1.0, 0.0]]
+    topo_file = tmp_path / "split.json"
+    topo_file.write_text(json.dumps({"positions": far}))
+    config = load_config(
+        _write_config(tmp_path, topology_file=str(topo_file), cluster_size_max=2, alphas=[0.0])
+    )
+    assert run_sweep(config) == EXIT_INFEASIBLE
+    entry = json.loads((tmp_path / "out" / "summary.json").read_text())[0]
+    assert entry["gap"] is None and entry["iterations"] > 0
+    assert entry["lower_bound"] <= entry["objective"] + 1e-12
 
 
 @pytest.mark.parametrize("alpha", [1e16, 1e300, 1e304])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from clustergossip import (
     ClusterCandidate,
@@ -18,8 +18,10 @@ from clustergossip import (
     symmetric_top_eigenpair,
     xi,
 )
-from clustergossip.cli import prepare_pool
+from clustergossip import optimizer
+from clustergossip.cli import ExperimentConfig, prepare_pool
 from clustergossip.optimizer import OptimizerOptions
+from test_acceptance import _draw_tiny_instance, _grid_xi_and_cost
 
 
 PAIR_01 = ClusterCandidate(head=0, members=(0, 1))
@@ -394,3 +396,80 @@ def test_optimize_huge_alpha_gives_a_result_or_numerical_error(alpha, costs):
         return
     assert np.all(r.p >= 0.0) and r.p.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.isfinite(r.objective) and 0.0 <= r.xi <= 1.0
+
+
+def test_support_floor_never_breaks_the_margin(monkeypatch):
+    """The best point puts ~0.01 on the all-node cluster, which alone keeps
+    xi at 0.99; a floor of 0.2 would zero it and disconnect node 2, so the
+    unfloored best point is returned instead of an infeasible one."""
+    monkeypatch.setattr(optimizer, "_SUPPORT_FLOOR", 0.2)
+    r = optimize([PAIR_01, FULL_3], [0.0, 1e6], 3, OptimizerOptions(alpha=1e-3))
+    assert r.feasible and r.xi <= 0.99
+    assert 0.0 < r.p[1] <= 0.2
+    assert r.objective == pytest.approx(r.xi + 1e-3 * 1e6 * r.p[1], rel=1e-12)
+
+
+def _random_pool(seed, n_range, with_all_node):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(*n_range))
+    topo = generate_topology(n, 20.0, seed)
+    enumerated, all_costs, kept = prepare_pool(
+        topo, 2, n if with_all_node else n - 1, EnergyParams()
+    )
+    return [enumerated[i] for i in kept], all_costs[kept], n
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    with_all_node=st.booleans(),
+    alpha=st.floats(0.0, 1e-3),
+)
+@settings(max_examples=8, deadline=None)
+def test_lower_bound_never_exceeds_the_objective(seed, with_all_node, alpha):
+    cands, costs, n = _random_pool(seed, (3, 11), with_all_node)
+    r = optimize(cands, costs, n, OptimizerOptions(alpha=alpha))
+    assert r.lower_bound <= r.objective + 1e-12
+    assert r.gap == (r.objective - r.lower_bound if r.feasible else None)
+    assert 0 <= r.iterations <= optimizer._MAX_ITERS
+
+
+def test_lower_bound_never_exceeds_the_grid_minimum():
+    """The bound holds on the whole simplex, margin or not, so it stays below
+    the minimum over a 0.01 grid on criterion 3's kind of tiny instance."""
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        topology, candidates, costs = _draw_tiny_instance(rng)
+        xis, lin = _grid_xi_and_cost(candidates, costs, topology.n, step=0.01)
+        for alpha in (0.0, 1e-4):
+            r = optimize(candidates, costs, topology.n, OptimizerOptions(alpha=alpha))
+            assert r.lower_bound <= float(np.min(xis + alpha * lin)) + 1e-12
+
+
+@given(seed=st.integers(0, 2**31 - 1), alpha=st.floats(1e-6, 1e-3))
+@example(seed=2, alpha=5.9e-4)  # certifies after 500 steps, not at the start
+@settings(max_examples=8, deadline=None)
+def test_certified_stop_returns_the_full_schedule_point(seed, alpha):
+    """Where the bound certifies, running the whole schedule instead (a gap
+    tolerance nothing meets) returns a byte-equal p."""
+    cands, costs, n = _random_pool(seed, (3, 9), with_all_node=True)
+    certified = optimize(cands, costs, n, OptimizerOptions(alpha=alpha))
+    assume(certified.gap <= optimizer._GAP_TOL * max(1.0, abs(certified.objective)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_GAP_TOL", -np.inf)
+        full = optimize(cands, costs, n, OptimizerOptions(alpha=alpha))
+    assert full.iterations > certified.iterations
+    assert full.p.tobytes() == certified.p.tobytes()
+    assert (full.xi, full.objective) == (certified.xi, certified.objective)
+
+
+def test_default_pool_certifies_the_first_two_alphas_at_the_start():
+    config = ExperimentConfig()
+    topo = generate_topology(config.n_nodes, config.area_side, config.topology_seed)
+    params = EnergyParams(eps_amp=config.eps_amp, e_elec=config.e_elec, k_bits=config.k_bits)
+    enumerated, all_costs, kept = prepare_pool(
+        topo, config.cluster_size_min, config.size_max(), params
+    )
+    cands, costs = [enumerated[i] for i in kept], all_costs[kept]
+    for alpha in config.alphas[:2]:
+        r = optimize(cands, costs, topo.n, OptimizerOptions(alpha=alpha, epsilon=config.epsilon))
+        assert (r.iterations, r.gap) == (0, 0.0)
