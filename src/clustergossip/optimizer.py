@@ -21,7 +21,19 @@ with s < n members leaves the other nodes fixed (xi = 1), so only the
 all-node cluster (W = J, xi = 0) can win, and it goes through the same
 evaluation as every iterate.
 W(p) is built from the (C, n) 0/1 membership matrix M and the cluster sizes
-s as ``(sum p) I - diag(M'p) + M' diag(p/s) M``, also off the simplex.
+s as ``(sum p) I - diag(M'p) + M' diag(p/s) M``, also off the simplex, from
+the rows of M where p is nonzero only: an iterate's support is typically
+well under half the pool.
+
+Eigensolves: ``symmetric_top_eigenpair`` is the full dense decomposition.
+Inside ``optimize``, every evaluation after the first takes lambda from
+``eigvalsh`` (the full spectrum, so lambda is certified to be the top
+eigenvalue) and the eigenvector from one or two solves of
+``(W - J - (lambda + 1e-11) I) x = v_prev``, inverse iteration warm-started
+at the previous evaluation's eigenvector. The pair is accepted only if it
+passes the same finiteness, symmetry and residual checks as
+``symmetric_top_eigenpair``; otherwise (or when the solve finds the matrix
+singular) the evaluation falls back to ``symmetric_top_eigenpair``.
 
 Certified stop (weak duality, Boyd & Vandenberghe, Convex Optimization,
 ch. 5): for any PSD Z with trace 1, ``lambda_max(W(p) - J) >= <Z, W(p) - J>``,
@@ -43,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .candidates import ClusterCandidate, membership, per_candidate
-from .errors import NumericalError
+from .errors import NumericalError, is_finite_number
 
 __all__ = [
     "OptimizerOptions",
@@ -58,6 +70,10 @@ __all__ = [
 
 _ASYMMETRY_TOL = 1e-9
 _RESIDUAL_TOL = 1e-9
+# Warm-started inverse iteration: the shift past the top eigenvalue, and the most solves tried
+# before falling back to the full decomposition.
+_WARM_SHIFT = 1e-11
+_WARM_SOLVES = 2
 # Fixed schedule: iteration budget, step multipliers over an even split of it, the stall window
 # and tolerance that end a phase early, and the floor at or below which p_i is zeroed.
 _MAX_ITERS = 5000
@@ -86,8 +102,8 @@ class OptimizerOptions:
     epsilon: float = 1e-2
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not is_finite_number(self.alpha) or self.alpha < 0:
+            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
@@ -116,9 +132,11 @@ class ActivationDistribution:
 
 
 def _mixture(p: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """W(p) from the membership factors; see the module docstring."""
-    w = (members.T * (p / sizes)) @ members
-    w[np.diag_indices_from(w)] += p.sum() - p @ members
+    """W(p) from the membership rows where p is nonzero; see the module docstring."""
+    support = np.flatnonzero(p)
+    rows, q = members[support], p[support]
+    w = (rows.T * (q / sizes[support])) @ rows
+    w.flat[:: w.shape[0] + 1] += q.sum() - q @ rows
     return w
 
 
@@ -137,29 +155,71 @@ def mixing_matrix(
     return _mixture(p, members, members.sum(axis=1))
 
 
-def symmetric_top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector of a symmetric matrix.
-
-    Full dense decomposition. Raises ValueError when the input is asymmetric
-    beyond 1e-9, NumericalError on a residual above max(1e-9, 1e-12 * |top|).
-    """
+def _checked_symmetric(matrix: np.ndarray) -> np.ndarray:
+    """The matrix as floats; ValueError unless it is square, finite and symmetric to 1e-9."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     if np.abs(a - a.T).max() > _ASYMMETRY_TOL:
         raise ValueError("matrix is not symmetric")
+    return a
+
+
+def _residual(a: np.ndarray, top: float, vec: np.ndarray) -> tuple[float, float]:
+    """``|a vec - top vec|`` and the tolerance it must meet, ``max(1e-9, 1e-12 * |top|)``."""
+    return float(np.linalg.norm(a @ vec - top * vec)), max(_RESIDUAL_TOL, 1e-12 * abs(top))
+
+
+def symmetric_top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and a unit eigenvector of a symmetric matrix.
+
+    Full dense decomposition. Raises ValueError when the input is not square,
+    has a non-finite entry or is asymmetric beyond 1e-9, and NumericalError on
+    a residual above max(1e-9, 1e-12 * |top|).
+    """
+    a = _checked_symmetric(matrix)
     eigenvalues, eigenvectors = np.linalg.eigh(a)
     top = float(eigenvalues[-1])
     vec = eigenvectors[:, -1]
-    residual = float(np.linalg.norm(a @ vec - top * vec))
-    if residual > max(_RESIDUAL_TOL, 1e-12 * max(1.0, abs(top))):
-        raise NumericalError(f"eigenpair residual {residual} exceeds tolerance {_RESIDUAL_TOL}")
+    residual, tolerance = _residual(a, top, vec)
+    if not residual <= tolerance:  # a NaN residual fails too
+        raise NumericalError(f"eigenpair residual {residual} exceeds tolerance {tolerance:g}")
     return top, vec
 
 
-def _deflated_top(w: np.ndarray, n: int) -> tuple[float, np.ndarray]:
-    """Top eigenvalue of W - J clipped to [0, 1] (xi), and its unit eigenvector."""
-    top, v = symmetric_top_eigenpair(w - 1.0 / n)
+def _warm_top_eigenpair(matrix: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
+    """``symmetric_top_eigenpair`` by inverse iteration from ``start``; see the module docstring."""
+    a = _checked_symmetric(matrix)
+    top = float(np.linalg.eigvalsh(a)[-1])
+    shifted = a.copy()
+    shifted.flat[:: a.shape[0] + 1] -= top + _WARM_SHIFT
+    x = start
+    try:
+        for _ in range(_WARM_SOLVES):
+            x = np.linalg.solve(shifted, x)
+            norm = float(np.linalg.norm(x))
+            if not 0.0 < norm < np.inf:  # nothing to normalise: take the fallback
+                break
+            x = x / norm
+            residual, tolerance = _residual(a, top, x)
+            if residual <= tolerance:
+                return top, x
+    except np.linalg.LinAlgError:
+        pass
+    return symmetric_top_eigenpair(a)
+
+
+def _deflated_top(
+    w: np.ndarray, n: int, start: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """Top eigenvalue of W - J clipped to [0, 1] (xi), and its unit eigenvector.
+
+    With ``start`` the eigenpair comes from ``_warm_top_eigenpair``.
+    """
+    a = w - 1.0 / n
+    top, v = symmetric_top_eigenpair(a) if start is None else _warm_top_eigenpair(a, start)
     return min(max(top, 0.0), 1.0), v
 
 
@@ -266,11 +326,16 @@ def optimize(
 
     # A point's record is (key, p, xi, cost, g, j), keyed (0, obj) once p meets the margin and
     # (1, xi) before, so any margin-meeting point wins and the best key's sum never rises.
-    # g_i = v' W_i v and j = v' J v, for v the unit top eigenvector of W(p) - J.
+    # g_i = v' W_i v and j = v' J v, for v the unit top eigenvector of W(p) - J. Every
+    # evaluation after the first warm-starts its eigensolve at the previous one's v.
+    previous_v = None
+
     def evaluate(
         p: np.ndarray,
     ) -> tuple[tuple[int, float], np.ndarray, float, float, np.ndarray, float]:
-        xi_val, v = _deflated_top(_mixture(p, members, sizes), n)
+        nonlocal previous_v
+        xi_val, v = _deflated_top(_mixture(p, members, sizes), n, previous_v)
+        previous_v = v
         cost_val = float(costs_arr @ p)
         obj = xi_val + alpha * cost_val
         if not np.isfinite(obj):

@@ -23,11 +23,16 @@ def collinear_topology() -> Topology:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Print one PASS/FAIL line per acceptance criterion after the run."""
+    """Print one PASS/FAIL line per acceptance criterion after the run.
+
+    A gate passes only when its call passed; an error in its setup (say, a
+    fixture that raised) or teardown makes it FAIL. Later outcomes overwrite
+    earlier ones, so a failure or error always wins over a pass.
+    """
     lines = {}
     for outcome in ("passed", "failed", "error"):
         for report in terminalreporter.stats.get(outcome, []):
-            if getattr(report, "when", "call") != "call":
+            if outcome == "passed" and getattr(report, "when", "call") != "call":
                 continue
             name = report.nodeid.rsplit("::", 1)[-1]
             if "test_acceptance" in report.nodeid and name.startswith("test_criterion"):

@@ -19,6 +19,7 @@ from clustergossip import (
     xi,
 )
 from clustergossip import optimizer
+from clustergossip.candidates import membership
 from clustergossip.cli import ExperimentConfig, prepare_pool
 from clustergossip.optimizer import OptimizerOptions
 from test_acceptance import _draw_tiny_instance, _grid_xi_and_cost
@@ -104,16 +105,23 @@ def test_xi_is_convex_along_segments(seed):
     ) + 1e-9
 
 
-@given(st.integers(0, 2**31 - 1), st.integers(2, 40), st.floats(0.5, 1.5))
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 40),
+    st.floats(0.5, 1.5),
+    st.sampled_from([0.0, 0.5, 0.9]),
+)
 @settings(max_examples=40, deadline=None)
-def test_factored_model_matches_dense_oracle(seed, n, scale):
+def test_factored_model_matches_dense_oracle(seed, n, scale, zero_share):
     """mixing_matrix and objective_subgradient agree with the dense
-    sum of per-candidate averaging matrices, on and off the simplex, and
+    sum of per-candidate averaging matrices, on and off the simplex and
+    with a share of p zeroed (W(p) is built from the support only), and
     a lone cluster's xi is 1 unless it spans every node (then 0)."""
     rng = np.random.default_rng(seed)
     topo = generate_topology(n, 30.0, seed)
     cands = enumerate_candidates(topo, 2, n)
     p = scale * rng.dirichlet(np.ones(len(cands)))
+    p[rng.uniform(size=len(cands)) < zero_share] = 0.0
     costs = rng.uniform(0.0, 100.0, size=len(cands))
     stack = np.array([build_weight_matrix(c, n) for c in cands])
     dense = np.tensordot(p, stack, axes=1)
@@ -159,6 +167,40 @@ def test_top_eigenpair_residual_and_rayleigh():
 def test_top_eigenpair_rejects_asymmetric():
     with pytest.raises(ValueError):
         symmetric_top_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_top_eigenpair_rejects_non_finite_entries(bad):
+    """A ValueError before LAPACK or the symmetry check sees the entry, by both
+    the full decomposition and the warm-started path."""
+    a = np.eye(3)
+    a[0, 1] = a[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        symmetric_top_eigenpair(a)
+    with pytest.raises(ValueError, match="non-finite"):
+        optimizer._warm_top_eigenpair(a, np.ones(3))
+
+
+def test_xi_and_subgradient_reject_a_nan_probability():
+    p = np.array([np.nan, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        xi(p, [PAIR_01, PAIR_12], 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        objective_subgradient(p, [PAIR_01, PAIR_12], [1.0, 1.0], 0.0, 3)
+
+
+def test_top_eigenpair_residual_message_prints_the_tolerance_applied(monkeypatch):
+    """At |top| = 1e4 the tolerance is 1e-12 * 1e4 = 1e-8, not the 1e-9 floor."""
+    eigh = np.linalg.eigh
+
+    def perturbed(a):
+        values, vectors = eigh(a)
+        vectors[:, -1] += 1e-3
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(NumericalError, match=r"exceeds tolerance 1e-08$"):
+        symmetric_top_eigenpair(np.diag([1e4, 1.0, 2.0]))
 
 
 def test_subgradient_symmetric_two_pair():
@@ -365,6 +407,9 @@ def test_optimizer_options_validation():
         OptimizerOptions(epsilon=1.0)
     with pytest.raises(ValueError):
         OptimizerOptions(alpha=-1e-3)
+    for alpha in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            OptimizerOptions(alpha=alpha)
 
 
 def test_optimize_checks_every_eigenpair(monkeypatch):
@@ -473,3 +518,69 @@ def test_default_pool_certifies_the_first_two_alphas_at_the_start():
     for alpha in config.alphas[:2]:
         r = optimize(cands, costs, topo.n, OptimizerOptions(alpha=alpha, epsilon=config.epsilon))
         assert (r.iterations, r.gap) == (0, 0.0)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    case=st.sampled_from(["nearby start", "all-node vertex", "repeated top", "orthogonal start"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_warm_eigenpair_matches_eigh(seed, case):
+    """The warm-started eigenpair of W(p) - J agrees with eigh; a start with no
+    component in the top eigenspace takes the eigh fallback."""
+    rng = np.random.default_rng(seed)
+    cands, _, n = _random_pool(seed, (4, 13), with_all_node=True)
+    members = membership(cands, n)
+    sizes = members.sum(axis=1)
+    p = rng.dirichlet(np.ones(len(cands)))
+    q = project_simplex(p + rng.normal(scale=1e-2, size=len(cands)))
+    start = np.linalg.eigh(optimizer._mixture(q, members, sizes) - 1.0 / n)[1][:, -1]
+    if case == "all-node vertex":  # W - J = 0: every unit vector is a top eigenvector
+        p = (sizes == n).astype(float)
+        start = rng.normal(size=n)
+    elif case == "repeated top":  # one pair alone leaves n - 2 nodes fixed: top 1, n - 2 times
+        p = np.eye(1, len(cands), int(np.argmin(sizes)))[0]
+    a = optimizer._mixture(p, members, sizes) - 1.0 / n
+    values, vectors = np.linalg.eigh(a)
+    if case == "orthogonal start":
+        assume(values[-1] - values[-2] > 1e-6)
+        start = vectors[:, -2]
+    elif case == "repeated top":
+        assert values[-1] - values[-2] <= 1e-12
+    elif case == "all-node vertex":
+        assert not a.any()
+
+    fallbacks = []
+    with pytest.MonkeyPatch.context() as patch:
+        full = optimizer.symmetric_top_eigenpair
+        patch.setattr(optimizer, "symmetric_top_eigenpair", lambda m: fallbacks.append(m) or full(m))
+        top, v = optimizer._warm_top_eigenpair(a, start)
+    assert abs(top - values[-1]) <= 1e-12
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(a @ v - top * v) <= 1e-9
+    if case == "orthogonal start":
+        assert len(fallbacks) == 1
+
+
+def test_wrong_warm_solve_falls_back_to_eigh_byte_for_byte():
+    """A solve that returns a wrong vector fails the residual check, so the
+    run is the one where every eigenpair comes from eigh (solve raising)."""
+    cands, costs, n = _random_pool(5, (8, 9), with_all_node=False)
+
+    def wrong(a, b):
+        return np.arange(1.0, b.size + 1.0)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    results = []
+    for solve in (wrong, singular):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "solve", solve)
+            results.append(optimize(cands, costs, n, OptimizerOptions(alpha=1e-4)))
+    from_wrong, from_eigh = results
+    assert from_eigh.iterations > 0
+    assert from_wrong.p.tobytes() == from_eigh.p.tobytes()
+    assert (from_wrong.xi, from_wrong.objective, from_wrong.lower_bound, from_wrong.iterations) == (
+        from_eigh.xi, from_eigh.objective, from_eigh.lower_bound, from_eigh.iterations
+    )
