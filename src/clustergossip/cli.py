@@ -20,8 +20,8 @@ import numpy as np
 
 from .candidates import ClusterCandidate, enumerate_candidates, prune_dominated
 from .energy import EnergyParams, cost_rows
-from .errors import ConfigurationError, NumericalError, is_finite_number
-from .optimizer import OptimizerOptions, optimize
+from .errors import ConfigurationError, NumericalError, is_finite_number, read_json_object
+from .optimizer import MIN_EPSILON, OptimizerOptions, optimize
 from .simulator import AveragedTrace, SimulationScenario, monte_carlo
 from .topology import Topology, generate_topology, load_topology
 
@@ -69,6 +69,53 @@ class ExperimentConfig:
     init_high: float = 30.0
     output_dir: str = "results"
 
+    def __post_init__(self) -> None:
+        """Store a list of alphas as a tuple, then check every rule (``replace`` runs this too)."""
+        if isinstance(self.alphas, list):
+            object.__setattr__(self, "alphas", tuple(self.alphas))
+
+        def fail(key: str, message: str) -> None:
+            raise ConfigurationError(f"config key '{key}': {message}")
+
+        for field in fields(self):
+            value = getattr(self, field.name)
+            kind, _, optional = field.type.partition(" | ")
+            is_kind, noun = _TYPE_RULES[kind]
+            if not is_kind(value) and not (optional and value is None):
+                fail(field.name, f"must be {noun}, got {_show(value)}")
+        for key in ("topology_seed", "sim_base_seed"):
+            if getattr(self, key) < 0:
+                fail(key, f"must be >= 0, got {_show(getattr(self, key))}")
+        if self.n_nodes < 2:
+            fail("n_nodes", f"must be >= 2, got {_show(self.n_nodes)}")
+        if self.area_side <= 0:
+            fail("area_side", f"must be positive, got {self.area_side}")
+        if self.cluster_size_min < 2:
+            fail("cluster_size_min", f"must be >= 2, got {_show(self.cluster_size_min)}")
+        if self.size_max() < self.cluster_size_min:
+            fail("cluster_size_max", f"must be >= cluster_size_min, got {_show(self.size_max())}")
+        if self.topology_file is None and self.size_max() > self.n_nodes:
+            fail("cluster_size_max", f"must be <= n_nodes, got {_show(self.size_max())}")
+        if len(self.alphas) == 0:
+            fail("alphas", "must be a nonempty list")
+        if any(a < 0 for a in self.alphas):
+            fail("alphas", f"must all be >= 0, got {list(self.alphas)}")
+        if not MIN_EPSILON <= self.epsilon < 1:
+            fail("epsilon", f"must lie in [{MIN_EPSILON}, 1), got {self.epsilon}")
+        if self.runs < 1:
+            fail("runs", f"must be >= 1, got {_show(self.runs)}")
+        if self.error_threshold <= 0:
+            fail("error_threshold", f"must be positive, got {self.error_threshold}")
+        if self.max_iterations < 1:
+            fail("max_iterations", f"must be >= 1, got {_show(self.max_iterations)}")
+        for key in ("eps_amp", "e_elec", "k_bits"):
+            if getattr(self, key) < 0:
+                fail(key, f"must be >= 0, got {getattr(self, key)}")
+        if self.init_low > self.init_high:
+            fail("init_low", f"must be <= init_high, got {self.init_low}")
+        if self.init_low == self.init_high == 0:
+            fail("init_high", "must differ from 0 when init_low is 0 (all-zero start)")
+
     def size_max(self, n_nodes: int | None = None) -> int:
         """Largest cluster size; unset means all ``n_nodes`` (default: the config's)."""
         if self.cluster_size_max is not None:
@@ -100,73 +147,16 @@ _TYPE_RULES = {
 
 
 def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
-    """Build and validate a config from a plain dict of overrides."""
+    """Build a config from a plain dict of overrides; unknown keys are rejected."""
     unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigurationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    if isinstance(data.get("alphas"), list):
-        data = {**data, "alphas": tuple(data["alphas"])}
-    config = ExperimentConfig(**data)
-    _validate(config)
-    return config
-
-
-def _validate(config: ExperimentConfig) -> None:
-    def fail(key: str, message: str) -> None:
-        raise ConfigurationError(f"config key '{key}': {message}")
-
-    for field in fields(config):
-        value = getattr(config, field.name)
-        kind, _, optional = field.type.partition(" | ")
-        is_kind, noun = _TYPE_RULES[kind]
-        if not is_kind(value) and not (optional and value is None):
-            fail(field.name, f"must be {noun}, got {_show(value)}")
-    for key in ("topology_seed", "sim_base_seed"):
-        if getattr(config, key) < 0:
-            fail(key, f"must be >= 0, got {_show(getattr(config, key))}")
-    if config.n_nodes < 2:
-        fail("n_nodes", f"must be >= 2, got {_show(config.n_nodes)}")
-    if config.area_side <= 0:
-        fail("area_side", f"must be positive, got {config.area_side}")
-    if config.cluster_size_min < 2:
-        fail("cluster_size_min", f"must be >= 2, got {_show(config.cluster_size_min)}")
-    if config.size_max() < config.cluster_size_min:
-        fail("cluster_size_max", f"must be >= cluster_size_min, got {_show(config.size_max())}")
-    if config.topology_file is None and config.size_max() > config.n_nodes:
-        fail("cluster_size_max", f"must be <= n_nodes, got {_show(config.size_max())}")
-    if len(config.alphas) == 0:
-        fail("alphas", "must be a nonempty list")
-    if any(a < 0 for a in config.alphas):
-        fail("alphas", f"must all be >= 0, got {list(config.alphas)}")
-    if not 0 < config.epsilon < 1:
-        fail("epsilon", f"must lie in (0, 1), got {config.epsilon}")
-    if config.runs < 1:
-        fail("runs", f"must be >= 1, got {_show(config.runs)}")
-    if config.error_threshold <= 0:
-        fail("error_threshold", f"must be positive, got {config.error_threshold}")
-    if config.max_iterations < 1:
-        fail("max_iterations", f"must be >= 1, got {_show(config.max_iterations)}")
-    for key in ("eps_amp", "e_elec", "k_bits"):
-        if getattr(config, key) < 0:
-            fail(key, f"must be >= 0, got {getattr(config, key)}")
-    if config.init_low > config.init_high:
-        fail("init_low", f"must be <= init_high, got {config.init_low}")
-    if config.init_low == config.init_high == 0:
-        fail("init_high", "must differ from 0 when init_low is 0 (all-zero start)")
+    return ExperimentConfig(**data)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load a JSON config file; unspecified keys take the defaults."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigurationError(f"config file not found: {p}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-        raise ConfigurationError(f"config file {p} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"config file {p} must contain a JSON object")
-    return config_from_dict(data)
+    return config_from_dict(read_json_object(path, "config"))
 
 
 def _fmt(x: float) -> str:
@@ -240,26 +230,11 @@ def run_sweep(config: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summary: list[dict[str, Any]] = []
-    any_infeasible = False
     for alpha in config.alphas:
         options = OptimizerOptions(alpha=alpha, epsilon=config.epsilon)
         result = optimize(kept, costs, topology.n, options)
-
-        entry: dict[str, Any] = {
-            "alpha": float(alpha),
-            "feasible": result.feasible,
-            "xi": result.xi,
-            "objective": result.objective,
-            "expected_cost_l1": result.expected_cost_l1,
-            "support": _support(result.p, kept),
-            "mean_iterations_to_threshold": None,
-            "mean_energy_at_threshold": None,
-            "terminated_runs": None,
-            "lower_bound": result.lower_bound,
-            "gap": result.gap,
-            "iterations": result.iterations,
-        }
-        if result.feasible:
+        feasible = result.feasible  # an infeasible alpha is not simulated
+        if feasible:
             scenario = SimulationScenario(
                 candidates=tuple(kept),
                 costs_l1=costs,
@@ -272,16 +247,25 @@ def run_sweep(config: ExperimentConfig) -> int:
             )
             averaged = monte_carlo(scenario, config.runs, config.sim_base_seed)
             write_trace_csv(averaged, alpha, out_dir / f"trace_alpha={_fmt(alpha)}.csv")
-            entry["mean_iterations_to_threshold"] = averaged.mean_iterations_to_threshold
-            entry["mean_energy_at_threshold"] = averaged.mean_energy_at_threshold
-            entry["terminated_runs"] = averaged.terminated_runs
-        else:
-            any_infeasible = True
-            entry["support"] = []
-        summary.append(entry)
+        summary.append({
+            "alpha": float(alpha),
+            "feasible": feasible,
+            "xi": result.xi,
+            "objective": result.objective,
+            "expected_cost_l1": result.expected_cost_l1,
+            "support": _support(result.p, kept) if feasible else [],
+            "mean_iterations_to_threshold": (
+                averaged.mean_iterations_to_threshold if feasible else None
+            ),
+            "mean_energy_at_threshold": averaged.mean_energy_at_threshold if feasible else None,
+            "terminated_runs": averaged.terminated_runs if feasible else None,
+            "lower_bound": result.lower_bound,
+            "gap": result.gap,
+            "iterations": result.iterations,
+        })
 
     write_summary_json(summary, out_dir / "summary.json")
-    return EXIT_INFEASIBLE if any_infeasible else EXIT_OK
+    return EXIT_OK if all(entry["feasible"] for entry in summary) else EXIT_INFEASIBLE
 
 
 def _support(p: np.ndarray, kept: Sequence[Any]) -> list[dict[str, Any]]:
@@ -298,8 +282,7 @@ def _support(p: np.ndarray, kept: Sequence[Any]) -> list[dict[str, Any]]:
     return rows
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_run(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.output_dir is not None:
         config = replace(config, output_dir=args.output_dir)
     if args.seed is not None:
@@ -309,14 +292,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return run_sweep(config)
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     print(f"config OK: {args.config} ({len(config.alphas)} alpha value(s))")
     return EXIT_OK
 
 
-def _cmd_candidates(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_candidates(config: ExperimentConfig, args: argparse.Namespace) -> int:
     _, enumerated, costs, kept_indices = _config_pool(config)
     kept = set(kept_indices.tolist())
 
@@ -361,7 +342,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "candidates": _cmd_candidates,
     }
     try:
-        return handlers[args.command](args)
+        return handlers[args.command](load_config(args.config), args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -86,6 +86,9 @@ _SUPPORT_FLOOR = 1e-6
 _GAP_TOL = 1e-9
 # How far from 1 the sum of a projected vector may drift before float precision has lost it.
 _SIMPLEX_TOL = 1e-6
+# The smallest connectivity margin: a mixture that leaves a node fixed has xi = 1 exactly, but its
+# computed xi can read up to a few units of 1e-15 below 1, which a smaller margin would admit.
+MIN_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,8 @@ class OptimizerOptions:
 
     Attributes:
         alpha: weight of the energy regularizer, >= 0.
-        epsilon: connectivity margin; the result is feasible when
-            xi <= 1 - epsilon.
+        epsilon: connectivity margin in [MIN_EPSILON, 1); the result is
+            feasible when xi <= 1 - epsilon.
     """
 
     alpha: float = 0.0
@@ -104,8 +107,8 @@ class OptimizerOptions:
     def __post_init__(self) -> None:
         if not is_finite_number(self.alpha) or self.alpha < 0:
             raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha}")
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if not MIN_EPSILON <= self.epsilon < 1:
+            raise ValueError(f"epsilon must lie in [{MIN_EPSILON}, 1), got {self.epsilon}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ a threshold; a centralized observer is assumed for the stopping rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,10 +98,24 @@ class AveragedTrace:
 def draw_initial_state(
     n: int, low: float, high: float, rng: np.random.Generator
 ) -> NetworkState:
-    """I.i.d. uniform readings on [low, high]."""
+    """I.i.d. uniform readings on [low, high], whose squared norm must be positive and finite.
+
+    The relative error divides by that norm, so a range whose width overflows a float, or readings
+    whose squared norm overflows or rounds to 0, are rejected as a bad init_low/init_high.
+    """
     if low > high:
-        raise ConfigurationError(f"init range is empty: low={low} > high={high}")
-    return NetworkState(y=rng.uniform(low, high, size=n), t=0)
+        raise ConfigurationError(f"init range is empty: init_low={low} > init_high={high}")
+    if not math.isfinite(float(high) - float(low)):
+        raise ConfigurationError(f"init_high - init_low overflows a float: [{low}, {high}]")
+    y = rng.uniform(low, high, size=n)
+    with np.errstate(over="ignore"):
+        norm = y @ y
+    if not 0 < norm < np.inf:
+        raise ConfigurationError(
+            f"init_low={low} and init_high={high} drew readings whose squared norm is {norm}, "
+            "not a positive finite number"
+        )
+    return NetworkState(y=y, t=0)
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
@@ -151,7 +166,7 @@ def run_trial(
     Slot energy is the activated candidate's total two-phase cost, taken
     from ``costs`` (aligned with ``candidates``).
     """
-    if threshold <= 0:
+    if not threshold > 0:  # NaN too
         raise ConfigurationError(f"threshold must be positive, got {threshold}")
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
@@ -247,7 +262,7 @@ def monte_carlo(
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
-    if scenario.threshold <= 0:
+    if not scenario.threshold > 0:  # NaN too
         raise ConfigurationError(f"threshold must be positive, got {scenario.threshold}")
     if scenario.max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {scenario.max_iters}")

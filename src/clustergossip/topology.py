@@ -7,13 +7,12 @@ from its positions and keeps it; nothing else can set it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, is_finite_number
+from .errors import ConfigurationError, is_finite_number, read_json_object
 
 __all__ = ["Topology", "squared_distance_matrix", "generate_topology", "load_topology"]
 
@@ -87,13 +86,7 @@ def generate_topology(n: int, side: float, seed: int) -> Topology:
 
 def load_topology(path: str | Path) -> Topology:
     """Load node coordinates from a JSON file {"positions": [[x, y], ...]}."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigurationError(f"topology file not found: {p}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-        raise ConfigurationError(f"topology file {p} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "positions" not in data:
-        raise ConfigurationError(f'topology file {p} must contain a "positions" key')
+    data = read_json_object(path, "topology")
+    if "positions" not in data:
+        raise ConfigurationError(f'topology file {path} must contain a "positions" key')
     return Topology.from_positions(data["positions"])

@@ -1,6 +1,6 @@
 import json
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from clustergossip import (
     EnergyParams,
     NumericalError,
     generate_topology,
+    load_topology,
     xi,
 )
 from clustergossip.cli import (
@@ -118,11 +119,34 @@ def test_config_defaults():
         ({"epsilon": 10**400}, "epsilon"),
         ({"alphas": [10**400]}, "alphas"),
         ({"area_side": 10**5000}, "area_side"),
+        ({"epsilon": 1e-300}, "epsilon"),
+        ({"epsilon": 1e-15}, "epsilon"),
     ],
 )
 def test_config_rejections_name_the_key(overrides, key):
     with pytest.raises(ConfigurationError, match=key):
         config_from_dict(overrides)
+
+
+@pytest.mark.parametrize(
+    "build,key",
+    [
+        (lambda: ExperimentConfig(alphas=()), "alphas"),
+        (lambda: ExperimentConfig(error_threshold=float("nan")), "error_threshold"),
+        (lambda: replace(ExperimentConfig(), runs=0), "runs"),
+        (lambda: replace(ExperimentConfig(), alphas=[-1.0]), "alphas"),
+    ],
+)
+def test_config_checks_itself_on_construction_and_replace(build, key):
+    """The constructor and dataclasses.replace pass the same rules as a config file."""
+    with pytest.raises(ConfigurationError, match=key):
+        build()
+
+
+def test_config_stores_a_list_of_alphas_as_a_tuple():
+    # A list never equals a tuple, so these also check the type.
+    assert ExperimentConfig(alphas=[0.0, 1e-5]).alphas == (0.0, 1e-5)
+    assert replace(ExperimentConfig(), alphas=[2e-5]).alphas == (2e-5,)
 
 
 def test_config_rejects_unknown_key():
@@ -143,6 +167,24 @@ def test_load_config_errors(tmp_path):
     bad.write_text('{"area_side": ' + "1" * 5000 + "}")  # past int-string limits
     with pytest.raises(ConfigurationError):
         load_config(bad)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (None, "not found"),
+        ("{invalid", "is not valid JSON"),
+        ("[1, 2]", "must contain a JSON object"),
+    ],
+)
+def test_config_and_topology_files_share_one_reader(tmp_path, text, message):
+    """Both input files fail the same way, each message naming its file kind."""
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    for kind, load in (("config", load_config), ("topology", load_topology)):
+        with pytest.raises(ConfigurationError, match=f"^{kind} file.*{message}"):
+            load(path)
 
 
 def test_validate_subcommand(tmp_path, capsys):
@@ -456,6 +498,22 @@ def test_main_rejects_negative_seed(tmp_path, capsys):
     assert main(["run", "--config", str(config_path), "--seed", "-1"]) == EXIT_CONFIG_ERROR
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_initial_range_past_float_precision_exits_1(tmp_path, capsys):
+    """Initial readings whose range width or squared norm leaves the float range are a
+    config error naming init_low and init_high, not a traceback or a NaN trace."""
+    for overrides in (
+        {"init_low": 1e-200, "init_high": 1e-200},
+        {"init_low": -1.7e308, "init_high": 1.7e308},
+        {"init_low": -1e200, "init_high": 1e200, "max_iterations": 20},
+    ):
+        path = _write_config(tmp_path, runs=3, **overrides)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "init_low" in err and "init_high" in err
+        assert "Traceback" not in err
+        assert not any("nan" in f.read_text() for f in (tmp_path / "out").glob("*"))
 
 
 def test_overflowing_costs_exit_1(tmp_path, capsys):

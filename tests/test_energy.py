@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from clustergossip import (
     prune_dominated,
     transmission_energy,
 )
+import clustergossip.cli as cli
 from clustergossip.cli import prepare_pool
 
 
@@ -185,17 +188,19 @@ def test_larger_cluster_never_cheaper():
     st.floats(0.0, 5.0),
     st.floats(0.0, 5.0),
     st.floats(0.0, 5.0),
+    st.sampled_from([1, 7, cli._PRICE_BLOCK]),
 )
 @settings(max_examples=40, deadline=None)
-def test_prepare_pool_matches_scalar_oracles(seed, n, default, eps_amp, e_elec, k_bits):
+def test_prepare_pool_matches_scalar_oracles(seed, n, default, eps_amp, e_elec, k_bits, block):
     """Vectorized pricing equals candidate_cost_l1, and the kept set equals
-    prune_dominated over the scalar costs."""
+    prune_dominated over the scalar costs, whatever the pricing block width."""
     rng = np.random.default_rng(seed)
     topo = generate_topology(n, float(rng.uniform(1.0, 100.0)), seed)
     params = EnergyParams() if default else EnergyParams(eps_amp, e_elec, k_bits)
     size_min = int(rng.integers(2, n + 1))
     size_max = int(rng.integers(size_min, n + 1))
-    enumerated, costs, kept = prepare_pool(topo, size_min, size_max, params)
+    with mock.patch.object(cli, "_PRICE_BLOCK", block):
+        enumerated, costs, kept = prepare_pool(topo, size_min, size_max, params)
     scalar = np.array([candidate_cost_l1(c, topo, params) for c in enumerated])
     if default:
         np.testing.assert_array_equal(costs, scalar)

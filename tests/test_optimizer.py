@@ -410,6 +410,9 @@ def test_optimizer_options_validation():
     for alpha in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="alpha"):
             OptimizerOptions(alpha=alpha)
+    for epsilon in (1e-300, 1e-15):
+        with pytest.raises(ValueError, match="epsilon"):
+            OptimizerOptions(epsilon=epsilon)
 
 
 def test_optimize_checks_every_eigenpair(monkeypatch):

@@ -205,6 +205,14 @@ def test_run_trial_rejects_nonpositive_threshold():
         )
 
 
+def test_run_trial_rejects_nan_threshold():
+    with pytest.raises(ConfigurationError, match="threshold"):
+        run_trial(
+            NetworkState(y=np.ones(3)), np.array([1.0]), [FULL_3], np.array([1.0]),
+            float("nan"), 10, np.random.default_rng(0),
+        )
+
+
 def test_monte_carlo_single_run_equals_trial():
     scenario = _symmetric_scenario(threshold=0.01, max_iters=50)
     avg = monte_carlo(scenario, runs=1, base_seed=77)
@@ -460,6 +468,12 @@ def test_monte_carlo_matches_reference_across_chunks_and_edge_runs():
         # p is checked even when every run meets the threshold at slot 0
         ({"p": np.array([0.5, 0.6]), "threshold": 10.0}, 5, ValueError),
         ({"init_low": 0.0, "init_high": 0.0}, 5, ValueError),
+        # initial readings whose squares underflow to 0, whose range width overflows, or
+        # whose squares overflow
+        ({"init_low": 1e-200, "init_high": 1e-200}, 5, ConfigurationError),
+        ({"init_low": -1.7e308, "init_high": 1.7e308}, 5, ConfigurationError),
+        ({"init_low": -1e200, "init_high": 1e200, "max_iters": 20}, 5, ConfigurationError),
+        ({"threshold": float("nan")}, 5, ConfigurationError),
     ],
 )
 def test_monte_carlo_rejects_bad_scenario(changes, runs, error):
