@@ -148,10 +148,7 @@ def prune_dominated(
         )
     best_by_members: dict[tuple[int, ...], int] = {}
     for i, cand in enumerate(candidates):
-        cur = best_by_members.get(cand.members)
-        if cur is None:
-            best_by_members[cand.members] = i
-            continue
+        cur = best_by_members.setdefault(cand.members, i)
         if (costs[i], cand.head) < (costs[cur], candidates[cur].head):
             best_by_members[cand.members] = i
     kept = sorted(best_by_members.values())

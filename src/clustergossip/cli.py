@@ -226,10 +226,8 @@ def run_sweep(config: ExperimentConfig) -> int:
     kept = [enumerated[i] for i in kept_indices]
     costs = all_costs[kept_indices]
 
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     summary: list[dict[str, Any]] = []
+    traces: list[tuple[AveragedTrace, float]] = []
     for alpha in config.alphas:
         options = OptimizerOptions(alpha=alpha, epsilon=config.epsilon)
         result = optimize(kept, costs, topology.n, options)
@@ -246,7 +244,7 @@ def run_sweep(config: ExperimentConfig) -> int:
                 max_iters=config.max_iterations,
             )
             averaged = monte_carlo(scenario, config.runs, config.sim_base_seed)
-            write_trace_csv(averaged, alpha, out_dir / f"trace_alpha={_fmt(alpha)}.csv")
+            traces.append((averaged, alpha))
         summary.append({
             "alpha": float(alpha),
             "feasible": feasible,
@@ -264,6 +262,12 @@ def run_sweep(config: ExperimentConfig) -> int:
             "iterations": result.iterations,
         })
 
+    # Nothing is written before every alpha is solved and simulated, so a failing run leaves no
+    # partial outputs.
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for averaged, alpha in traces:
+        write_trace_csv(averaged, alpha, out_dir / f"trace_alpha={_fmt(alpha)}.csv")
     write_summary_json(summary, out_dir / "summary.json")
     return EXIT_OK if all(entry["feasible"] for entry in summary) else EXIT_INFEASIBLE
 

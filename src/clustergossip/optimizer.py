@@ -25,15 +25,16 @@ s as ``(sum p) I - diag(M'p) + M' diag(p/s) M``, also off the simplex, from
 the rows of M where p is nonzero only: an iterate's support is typically
 well under half the pool.
 
-Eigensolves: ``symmetric_top_eigenpair`` is the full dense decomposition.
-Inside ``optimize``, every evaluation after the first takes lambda from
-``eigvalsh`` (the full spectrum, so lambda is certified to be the top
+Eigensolves: every one goes through ``_deflated_top``, which checks W - J
+(square, finite, symmetric) first. ``symmetric_top_eigenpair`` is the full
+dense decomposition. Inside ``optimize``, every evaluation after the first
+passes the previous evaluation's eigenvector as a start: lambda then comes
+from ``eigvalsh`` (the full spectrum, so lambda is certified to be the top
 eigenvalue) and the eigenvector from one or two solves of
-``(W - J - (lambda + 1e-11) I) x = v_prev``, inverse iteration warm-started
-at the previous evaluation's eigenvector. The pair is accepted only if it
-passes the same finiteness, symmetry and residual checks as
-``symmetric_top_eigenpair``; otherwise (or when the solve finds the matrix
-singular) the evaluation falls back to ``symmetric_top_eigenpair``.
+``(W - J - (lambda + 1e-11) I) x = v_prev``, inverse iteration. The pair is
+accepted only if it passes the same residual check as
+``symmetric_top_eigenpair``; without a start, or when the residual fails or
+the solve finds the matrix singular, ``symmetric_top_eigenpair`` decides.
 
 Certified stop (weak duality, Boyd & Vandenberghe, Convex Optimization,
 ch. 5): for any PSD Z with trace 1, ``lambda_max(W(p) - J) >= <Z, W(p) - J>``,
@@ -192,37 +193,32 @@ def symmetric_top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return top, vec
 
 
-def _warm_top_eigenpair(matrix: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
-    """``symmetric_top_eigenpair`` by inverse iteration from ``start``; see the module docstring."""
-    a = _checked_symmetric(matrix)
-    top = float(np.linalg.eigvalsh(a)[-1])
-    shifted = a.copy()
-    shifted.flat[:: a.shape[0] + 1] -= top + _WARM_SHIFT
-    x = start
-    try:
-        for _ in range(_WARM_SOLVES):
-            x = np.linalg.solve(shifted, x)
-            norm = float(np.linalg.norm(x))
-            if not 0.0 < norm < np.inf:  # nothing to normalise: take the fallback
-                break
-            x = x / norm
-            residual, tolerance = _residual(a, top, x)
-            if residual <= tolerance:
-                return top, x
-    except np.linalg.LinAlgError:
-        pass
-    return symmetric_top_eigenpair(a)
-
-
 def _deflated_top(
     w: np.ndarray, n: int, start: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Top eigenvalue of W - J clipped to [0, 1] (xi), and its unit eigenvector.
 
-    With ``start`` the eigenpair comes from ``_warm_top_eigenpair``.
+    With ``start``, by inverse iteration from it (see the module docstring); without it, or when
+    that fails, by ``symmetric_top_eigenpair``.
     """
-    a = w - 1.0 / n
-    top, v = symmetric_top_eigenpair(a) if start is None else _warm_top_eigenpair(a, start)
+    a = _checked_symmetric(w - 1.0 / n)
+    if start is not None:
+        top = float(np.linalg.eigvalsh(a)[-1])
+        shifted = a.copy()
+        shifted.flat[:: a.shape[0] + 1] -= top + _WARM_SHIFT
+        try:
+            for _ in range(_WARM_SOLVES):
+                start = np.linalg.solve(shifted, start)
+                norm = float(np.linalg.norm(start))
+                if not 0.0 < norm < np.inf:  # nothing to normalise: take the fallback
+                    break
+                start = start / norm
+                residual, tolerance = _residual(a, top, start)
+                if residual <= tolerance:
+                    return min(max(top, 0.0), 1.0), start
+        except np.linalg.LinAlgError:
+            pass
+    top, v = symmetric_top_eigenpair(a)
     return min(max(top, 0.0), 1.0), v
 
 
@@ -271,14 +267,16 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot project a vector with non-finite entries")
     u = np.sort(v)[::-1]
-    shifted = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    qualifying = np.nonzero(u - shifted / ks > 0)[0]
-    if qualifying.size:
-        rho = qualifying[-1]
-        projected = np.maximum(v - shifted[rho] / (rho + 1.0), 0.0)
-        if abs(projected.sum() - 1.0) <= _SIMPLEX_TOL:
-            return projected
+    # A sum or difference past the float range reads as +-inf: clipped to 0, or failing the sum.
+    with np.errstate(over="ignore"):
+        shifted = np.cumsum(u) - 1.0
+        ks = np.arange(1, v.size + 1)
+        qualifying = np.nonzero(u - shifted / ks > 0)[0]
+        if qualifying.size:
+            rho = qualifying[-1]
+            projected = np.maximum(v - shifted[rho] / (rho + 1.0), 0.0)
+            if abs(projected.sum() - 1.0) <= _SIMPLEX_TOL:
+                return projected
     raise NumericalError(f"simplex projection lost to float precision at |v| {np.abs(v).max():g}")
 
 

@@ -220,18 +220,16 @@ def _run_chunk(
     stop = np.where(error < scenario.threshold, 0, scenario.max_iters)
     live = np.flatnonzero(error >= scenario.threshold)
     block = np.empty((len(rngs), _BLOCK))
-    used = _BLOCK
     for t in range(1, scenario.max_iters + 1):
         if live.size == 0:
             break
-        if used == _BLOCK:
+        column = (t - 1) % _BLOCK
+        if column == 0:
             # Generator.random(k) yields the doubles of k scalar random() calls.
             for r in live:
                 rngs[r].random(out=block[r])
-            used = 0
-        drawn = np.searchsorted(cumulative, block[live, used], side="right")
+        drawn = np.searchsorted(cumulative, block[live, column], side="right")
         drawn = np.minimum(drawn, cumulative.size - 1)
-        used += 1
         # One gather, row mean and scatter per cluster size: the same pairwise
         # sums as consensus_step's y[idx].mean(), which zero padding would change.
         sizes = size_of[drawn]

@@ -78,7 +78,7 @@ def generate_topology(n: int, side: float, seed: int) -> Topology:
     """
     if n < 2:
         raise ConfigurationError(f"need at least 2 nodes, got n={n}")
-    if side <= 0:
+    if not side > 0:  # NaN too
         raise ConfigurationError(f"field side must be positive, got {side}")
     rng = np.random.default_rng(seed)
     return Topology.from_positions(rng.uniform(0.0, side, size=(n, 2)))

@@ -138,6 +138,40 @@ def test_prune_tie_breaks_to_lower_head():
     assert [(c.head, c.members) for c in kept] == [(0, (0, 1))]
 
 
+@st.composite
+def _candidate_on_five_nodes(draw):
+    members = tuple(sorted(draw(st.sets(st.integers(0, 4), min_size=2, max_size=5))))
+    return ClusterCandidate(head=draw(st.sampled_from(members)), members=members)
+
+
+@given(
+    pool=st.lists(
+        st.tuples(_candidate_on_five_nodes(), st.sampled_from([0.0, 1.0, 2.5])),
+        min_size=1,
+        max_size=40,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_prune_matches_brute_force_oracle_on_shuffled_pools(pool, data):
+    """Whatever the order and however costs tie, a candidate survives iff no other with
+    its member set has a lower (cost, head), the earlier one winning a full tie; the
+    survivors keep their input order."""
+    pool = data.draw(st.permutations(pool))
+    cands = [cand for cand, _ in pool]
+    costs = np.array([cost for _, cost in pool])
+    expected = [
+        cand
+        for i, cand in enumerate(cands)
+        if not any(
+            other.members == cand.members
+            and (costs[j], other.head, j) < (costs[i], cand.head, i)
+            for j, other in enumerate(cands)
+        )
+    ]
+    assert [id(c) for c in prune_dominated(cands, costs)] == [id(c) for c in expected]
+
+
 def test_prune_preserves_distinct_weight_matrices():
     topo = generate_topology(7, 15.0, seed=2)
     cands = enumerate_candidates(topo, 2, 7)

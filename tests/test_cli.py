@@ -516,6 +516,27 @@ def test_initial_range_past_float_precision_exits_1(tmp_path, capsys):
         assert not any("nan" in f.read_text() for f in (tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        ({"alphas": [0.0, 1e300]}, EXIT_NUMERICAL_ERROR),
+        ({"init_low": 1e-200, "init_high": 1e-200}, EXIT_CONFIG_ERROR),
+    ],
+)
+def test_failing_run_writes_nothing(tmp_path, overrides, code):
+    """A run that fails after its first alpha neither creates the output directory
+    nor touches an existing one: no partial trace, no stale summary beside it."""
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, runs=3, **overrides)
+    assert main(["run", "--config", str(path)]) == code
+    assert not out.exists()
+    out.mkdir()
+    (out / "summary.json").write_text("earlier run\n")
+    assert main(["run", "--config", str(path)]) == code
+    assert [f.name for f in out.iterdir()] == ["summary.json"]
+    assert (out / "summary.json").read_text() == "earlier run\n"
+
+
 def test_overflowing_costs_exit_1(tmp_path, capsys):
     """Coordinates or energy keys whose costs pass the float range are a config
     error naming the keys, not a traceback from the optimizer."""

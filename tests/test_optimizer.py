@@ -178,7 +178,7 @@ def test_top_eigenpair_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="non-finite"):
         symmetric_top_eigenpair(a)
     with pytest.raises(ValueError, match="non-finite"):
-        optimizer._warm_top_eigenpair(a, np.ones(3))
+        optimizer._deflated_top(a, 3, np.ones(3))
 
 
 def test_xi_and_subgradient_reject_a_nan_probability():
@@ -295,6 +295,7 @@ def test_project_simplex_properties(values):
     [
         [1e16, 0.0],  # u1 - (u1 - 1) rounds to 0, so no k qualifies
         [6e15, 6e15],  # only k = 1 qualifies, and the shift by u1 - 1 gives [1, 1]
+        [-0.5, -1.6e306, -1.79e308],  # the running sum overflows to -inf
     ],
 )
 def test_project_simplex_raises_when_float_precision_loses_the_simplex(v):
@@ -557,7 +558,7 @@ def test_warm_eigenpair_matches_eigh(seed, case):
     with pytest.MonkeyPatch.context() as patch:
         full = optimizer.symmetric_top_eigenpair
         patch.setattr(optimizer, "symmetric_top_eigenpair", lambda m: fallbacks.append(m) or full(m))
-        top, v = optimizer._warm_top_eigenpair(a, start)
+        top, v = optimizer._deflated_top(a + 1.0 / n, n, start)
     assert abs(top - values[-1]) <= 1e-12
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(a @ v - top * v) <= 1e-9

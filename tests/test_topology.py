@@ -58,7 +58,9 @@ def test_two_node_symmetry():
     assert t.d_sq[0, 1] >= 0.0
 
 
-@pytest.mark.parametrize("n,side", [(1, 10.0), (0, 10.0), (5, 0.0), (5, -1.0)])
+@pytest.mark.parametrize(
+    "n,side", [(1, 10.0), (0, 10.0), (5, 0.0), (5, -1.0), (5, float("nan"))]
+)
 def test_generate_rejects_bad_parameters(n, side):
     with pytest.raises(ConfigurationError):
         generate_topology(n, side, seed=0)
