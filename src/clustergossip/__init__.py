@@ -33,7 +33,6 @@ from .optimizer import (
 )
 from .simulator import (
     AveragedTrace,
-    NetworkState,
     SimulationScenario,
     SimulationTrace,
     consensus_step,
@@ -54,7 +53,6 @@ __all__ = [
     "ClusterCandidate",
     "ConfigurationError",
     "EnergyParams",
-    "NetworkState",
     "NumericalError",
     "OptimizerOptions",
     "SimulationScenario",

@@ -83,15 +83,16 @@ class ExperimentConfig:
             is_kind, noun = _TYPE_RULES[kind]
             if not is_kind(value) and not (optional and value is None):
                 fail(field.name, f"must be {noun}, got {_show(value)}")
-        for key in ("topology_seed", "sim_base_seed"):
-            if getattr(self, key) < 0:
-                fail(key, f"must be >= 0, got {_show(getattr(self, key))}")
-        if self.n_nodes < 2:
-            fail("n_nodes", f"must be >= 2, got {_show(self.n_nodes)}")
-        if self.area_side <= 0:
-            fail("area_side", f"must be positive, got {self.area_side}")
-        if self.cluster_size_min < 2:
-            fail("cluster_size_min", f"must be >= 2, got {_show(self.cluster_size_min)}")
+        for key, least in _AT_LEAST.items():
+            if getattr(self, key) < least:
+                fail(key, f"must be >= {least}, got {_show(getattr(self, key))}")
+        for key in ("area_side", "error_threshold"):
+            if getattr(self, key) <= 0:
+                fail(key, f"must be positive, got {_show(getattr(self, key))}")
+        if self.max_iterations >= 2**63:  # monte_carlo keeps slot counts as int64
+            fail("max_iterations", f"must be < 2**63, got {_show(self.max_iterations)}")
+        if not self.output_dir or "\0" in self.output_dir:
+            fail("output_dir", f"must be a nonempty path with no NUL, got {self.output_dir!r}")
         if self.size_max() < self.cluster_size_min:
             fail("cluster_size_max", f"must be >= cluster_size_min, got {_show(self.size_max())}")
         if self.topology_file is None and self.size_max() > self.n_nodes:
@@ -102,15 +103,6 @@ class ExperimentConfig:
             fail("alphas", f"must all be >= 0, got {list(self.alphas)}")
         if not MIN_EPSILON <= self.epsilon < 1:
             fail("epsilon", f"must lie in [{MIN_EPSILON}, 1), got {self.epsilon}")
-        if self.runs < 1:
-            fail("runs", f"must be >= 1, got {_show(self.runs)}")
-        if self.error_threshold <= 0:
-            fail("error_threshold", f"must be positive, got {self.error_threshold}")
-        if self.max_iterations < 1:
-            fail("max_iterations", f"must be >= 1, got {_show(self.max_iterations)}")
-        for key in ("eps_amp", "e_elec", "k_bits"):
-            if getattr(self, key) < 0:
-                fail(key, f"must be >= 0, got {getattr(self, key)}")
         if self.init_low > self.init_high:
             fail("init_low", f"must be <= init_high, got {self.init_low}")
         if self.init_low == self.init_high == 0:
@@ -143,6 +135,12 @@ _TYPE_RULES = {
         lambda value: isinstance(value, tuple) and all(map(is_finite_number, value)),
         "a list of finite numbers",
     ),
+}
+
+# The least value of each key that has one.
+_AT_LEAST = {
+    "topology_seed": 0, "sim_base_seed": 0, "n_nodes": 2, "cluster_size_min": 2, "runs": 1,
+    "max_iterations": 1, "eps_amp": 0, "e_elec": 0, "k_bits": 0,
 }
 
 

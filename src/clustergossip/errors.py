@@ -27,7 +27,7 @@ def read_json_object(path: str | Path, kind: str) -> dict:
         raise ConfigurationError(f"{kind} file not found: {p}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer, too deep
         raise ConfigurationError(f"{kind} file {p} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"{kind} file {p} must contain a JSON object")

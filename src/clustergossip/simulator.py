@@ -19,7 +19,6 @@ from .candidates import ClusterCandidate, membership
 from .errors import ConfigurationError
 
 __all__ = [
-    "NetworkState",
     "SimulationTrace",
     "SimulationScenario",
     "AveragedTrace",
@@ -36,14 +35,6 @@ __all__ = [
 # run's uniforms this many at a time.
 _CHUNK_RUNS = 250
 _BLOCK = 64
-
-
-@dataclass(frozen=True)
-class NetworkState:
-    """Sensor readings at one time slot."""
-
-    y: np.ndarray
-    t: int = 0
 
 
 @dataclass(frozen=True)
@@ -97,7 +88,7 @@ class AveragedTrace:
 
 def draw_initial_state(
     n: int, low: float, high: float, rng: np.random.Generator
-) -> NetworkState:
+) -> np.ndarray:
     """I.i.d. uniform readings on [low, high], whose squared norm must be positive and finite.
 
     The relative error divides by that norm, so a range whose width overflows a float, or readings
@@ -115,7 +106,7 @@ def draw_initial_state(
             f"init_low={low} and init_high={high} drew readings whose squared norm is {norm}, "
             "not a positive finite number"
         )
-    return NetworkState(y=y, t=0)
+    return y
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
@@ -134,26 +125,25 @@ def sample_cluster(p: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, cumulative.size - 1)
 
 
-def consensus_step(state: NetworkState, candidate: ClusterCandidate) -> NetworkState:
-    """Replace the members' readings with their in-cluster mean."""
-    y = state.y.copy()
+def consensus_step(y: np.ndarray, candidate: ClusterCandidate) -> np.ndarray:
+    """A copy of the readings y with the members' readings replaced by their in-cluster mean."""
+    y = y.copy()
     idx = np.fromiter(candidate.members, dtype=int)
     y[idx] = y[idx].mean()
-    return NetworkState(y=y, t=state.t + 1)
+    return y
 
 
-def relative_error(state: NetworkState, initial_state: NetworkState) -> float:
-    """Squared distance to the initial mean, relative to the initial norm."""
-    y0 = initial_state.y
+def relative_error(y: np.ndarray, y0: np.ndarray) -> float:
+    """Squared distance of the readings y to the mean of y0, relative to y0's squared norm."""
     denom = float(y0 @ y0)
     if denom == 0.0:
         raise ValueError("relative error is undefined for an all-zero initial state")
-    eps = state.y - y0.mean()
+    eps = y - y0.mean()
     return float(eps @ eps) / denom
 
 
 def run_trial(
-    initial: NetworkState,
+    initial: np.ndarray,
     p: np.ndarray,
     candidates: Sequence[ClusterCandidate],
     costs: Sequence[float],
@@ -172,8 +162,8 @@ def run_trial(
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
     costs_arr = np.asarray(costs, dtype=float)
 
-    state = initial
-    errors = [relative_error(state, initial)]
+    y = initial
+    errors = [relative_error(y, initial)]
     energies = [0.0]
     activations: list[int] = []
     terminated_at: int | None = None
@@ -183,9 +173,9 @@ def run_trial(
     else:
         for t in range(1, max_iters + 1):
             idx = sample_cluster(p, rng)
-            state = consensus_step(state, candidates[idx])
+            y = consensus_step(y, candidates[idx])
             activations.append(idx)
-            errors.append(relative_error(state, initial))
+            errors.append(relative_error(y, initial))
             energies.append(energies[-1] + costs_arr[idx])
             if errors[-1] < threshold:
                 terminated_at = t
@@ -211,10 +201,9 @@ def _run_chunk(
     size_of, offset, flat, costs = tables
     rngs = [np.random.default_rng(seed) for seed in seeds]
     low, high = scenario.init_low, scenario.init_high
-    initial = [draw_initial_state(scenario.n, low, high, rng) for rng in rngs]
-    error = np.array([relative_error(state, state) for state in initial])
-    y = np.array([state.y for state in initial])
-    mean0, denom = np.array([(state.y.mean(), state.y @ state.y) for state in initial]).T
+    y = np.array([draw_initial_state(scenario.n, low, high, rng) for rng in rngs])
+    error = np.array([relative_error(y0, y0) for y0 in y])
+    mean0, denom = np.array([(y0.mean(), y0 @ y0) for y0 in y]).T
     energy = np.zeros(len(rngs))
     sums = [(error.sum(), 0.0)]
     stop = np.where(error < scenario.threshold, 0, scenario.max_iters)

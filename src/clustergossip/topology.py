@@ -65,11 +65,6 @@ class Topology:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    @classmethod
-    def from_positions(cls, positions) -> "Topology":
-        """Build a topology from explicit coordinates."""
-        return cls(positions)
-
 
 def generate_topology(n: int, side: float, seed: int) -> Topology:
     """Place n nodes i.i.d. uniformly on the square [0, side]^2.
@@ -81,7 +76,7 @@ def generate_topology(n: int, side: float, seed: int) -> Topology:
     if not side > 0:  # NaN too
         raise ConfigurationError(f"field side must be positive, got {side}")
     rng = np.random.default_rng(seed)
-    return Topology.from_positions(rng.uniform(0.0, side, size=(n, 2)))
+    return Topology(rng.uniform(0.0, side, size=(n, 2)))
 
 
 def load_topology(path: str | Path) -> Topology:
@@ -89,4 +84,4 @@ def load_topology(path: str | Path) -> Topology:
     data = read_json_object(path, "topology")
     if "positions" not in data:
         raise ConfigurationError(f'topology file {path} must contain a "positions" key')
-    return Topology.from_positions(data["positions"])
+    return Topology(data["positions"])

@@ -12,12 +12,12 @@ THREE_NODE_POSITIONS = np.array([[0.0, 0.0], [3.0, 4.0], [10.0, 0.0]])
 @pytest.fixture
 def three_node_topology() -> Topology:
     """Nodes at (0,0), (3,4), (10,0): squared distances 25 / 65 / 100."""
-    return Topology.from_positions(THREE_NODE_POSITIONS.copy())
+    return Topology(THREE_NODE_POSITIONS.copy())
 
 
 @pytest.fixture
 def collinear_topology() -> Topology:
-    return Topology.from_positions(
+    return Topology(
         np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     )
 

@@ -221,14 +221,14 @@ def test_criterion_05_conservation_and_monotone_error(small_sweep):
         rng = np.random.default_rng(SIM_SEED + r)
         state = draw_initial_state(FIELD_NODES, INIT_LOW, INIT_HIGH, rng)
         initial = state
-        initial_mean = float(np.mean(initial.y))
+        initial_mean = float(np.mean(initial))
         err = relative_error(state, initial)
         t = 0
         while err >= THRESHOLD and t < MAX_ITERS:
             state = consensus_step(state, kept[sample_cluster(dist.p, rng)])
             t += 1
             steps_taken += 1
-            assert abs(float(np.mean(state.y)) - initial_mean) <= 1e-9
+            assert abs(float(np.mean(state)) - initial_mean) <= 1e-9
             next_err = relative_error(state, initial)
             assert next_err <= err * (1.0 + 1e-12)
             err = next_err
@@ -300,7 +300,7 @@ def test_criterion_09_infeasible_split_field():
     rng = np.random.default_rng(9)
     near = rng.uniform(0.0, FIELD_SIDE, size=(15, 2))
     far = rng.uniform(0.0, FIELD_SIDE, size=(15, 2)) + np.array([10 * FIELD_SIDE, 0.0])
-    topology = Topology.from_positions(np.vstack([near, far]))
+    topology = Topology(np.vstack([near, far]))
     kept, costs = _prepared(topology, 2, 10)
     dist = optimize(kept, costs, topology.n, OptimizerOptions(alpha=0.0))
     assert dist.feasible is False

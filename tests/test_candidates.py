@@ -132,7 +132,7 @@ def test_prune_keeps_distinct_member_sets():
 
 
 def test_prune_tie_breaks_to_lower_head():
-    pair = Topology.from_positions(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    pair = Topology(np.array([[0.0, 0.0], [1.0, 0.0]]))
     cands = enumerate_candidates(pair, 2, 2)
     kept = prune_dominated(cands, _costs(pair, cands))
     assert [(c.head, c.members) for c in kept] == [(0, (0, 1))]
@@ -189,7 +189,7 @@ def test_prune_preserves_distinct_weight_matrices():
         lambda cands: mixing_matrix(np.array([1.0]), cands, 2),
         lambda cands: xi(np.array([1.0]), cands, 2),
         lambda cands: objective_subgradient(np.array([1.0]), cands, [1.0], 0.0, 2),
-        lambda cands: cost_rows(cands, Topology.from_positions(np.zeros((2, 2))), EnergyParams()),
+        lambda cands: cost_rows(cands, Topology(np.zeros((2, 2))), EnergyParams()),
         lambda cands: build_weight_matrix(cands[0], 2),
     ],
     ids=[

@@ -121,6 +121,12 @@ def test_config_defaults():
         ({"area_side": 10**5000}, "area_side"),
         ({"epsilon": 1e-300}, "epsilon"),
         ({"epsilon": 1e-15}, "epsilon"),
+        ({"area_side": 0.0}, "area_side"),
+        ({"area_side": -5}, "area_side"),
+        ({"max_iterations": 10**20}, "max_iterations"),
+        ({"max_iterations": 2**63}, "max_iterations"),
+        ({"output_dir": "a\u0000b"}, "output_dir"),
+        ({"output_dir": ""}, "output_dir"),
     ],
 )
 def test_config_rejections_name_the_key(overrides, key):
@@ -135,6 +141,7 @@ def test_config_rejections_name_the_key(overrides, key):
         (lambda: ExperimentConfig(error_threshold=float("nan")), "error_threshold"),
         (lambda: replace(ExperimentConfig(), runs=0), "runs"),
         (lambda: replace(ExperimentConfig(), alphas=[-1.0]), "alphas"),
+        (lambda: replace(ExperimentConfig(), output_dir=""), "output_dir"),
     ],
 )
 def test_config_checks_itself_on_construction_and_replace(build, key):
@@ -175,6 +182,7 @@ def test_load_config_errors(tmp_path):
         (None, "not found"),
         ("{invalid", "is not valid JSON"),
         ("[1, 2]", "must contain a JSON object"),
+        pytest.param("[" * 100000 + "]" * 100000, "is not valid JSON", id="nested-too-deep"),
     ],
 )
 def test_config_and_topology_files_share_one_reader(tmp_path, text, message):

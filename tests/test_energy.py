@@ -65,7 +65,7 @@ def test_fan_in_cost_skips_nonmembers(three_node_topology):
 
 
 def test_fan_in_cost_coincident_cluster():
-    topo = Topology.from_positions(np.array([[2.0, 2.0]] * 3))
+    topo = Topology(np.array([[2.0, 2.0]] * 3))
     c = ClusterCandidate(head=1, members=(0, 1, 2))
     np.testing.assert_array_equal(cost_fc(c, topo, EnergyParams()), np.zeros(3))
 
@@ -83,7 +83,7 @@ def test_broadcast_cost_is_max_member_distance(three_node_topology):
 
 
 def test_broadcast_cost_coincident_cluster():
-    topo = Topology.from_positions(np.array([[2.0, 2.0]] * 3))
+    topo = Topology(np.array([[2.0, 2.0]] * 3))
     c = ClusterCandidate(head=1, members=(0, 1, 2))
     np.testing.assert_array_equal(cost_bc(c, topo, EnergyParams()), np.zeros(3))
 
@@ -151,7 +151,7 @@ def test_expected_cost_rejects_shape_mismatch(three_node_topology):
 @given(st.floats(0.0, 1.0))
 @settings(max_examples=40, deadline=None)
 def test_expected_cost_l1_linear_in_p(lam):
-    topo = Topology.from_positions(np.array([[0.0, 0.0], [3.0, 4.0], [10.0, 0.0]]))
+    topo = Topology(np.array([[0.0, 0.0], [3.0, 4.0], [10.0, 0.0]]))
     params = EnergyParams()
     cands = [
         ClusterCandidate(head=0, members=(0, 1)),
@@ -167,7 +167,7 @@ def test_expected_cost_l1_linear_in_p(lam):
 def test_larger_cluster_never_cheaper():
     """Adding members (same head) cannot reduce the total cost."""
     rng = np.random.default_rng(8)
-    topo = Topology.from_positions(rng.uniform(0.0, 30.0, size=(8, 2)))
+    topo = Topology(rng.uniform(0.0, 30.0, size=(8, 2)))
     params = EnergyParams()
     order = sorted(range(1, 8), key=lambda j: topo.d_sq[0, j])
     prev = None

@@ -181,6 +181,12 @@ def test_top_eigenpair_rejects_non_finite_entries(bad):
         optimizer._deflated_top(a, 3, np.ones(3))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3,)])
+def test_top_eigenpair_rejects_a_non_square_matrix(shape):
+    with pytest.raises(ValueError, match="square"):
+        symmetric_top_eigenpair(np.ones(shape))
+
+
 def test_xi_and_subgradient_reject_a_nan_probability():
     p = np.array([np.nan, 1.0])
     with pytest.raises(ValueError, match="non-finite"):
@@ -303,6 +309,12 @@ def test_project_simplex_raises_when_float_precision_loses_the_simplex(v):
         project_simplex(np.array(v))
 
 
+@pytest.mark.parametrize("v", [[], [[0.5, 0.5]], [np.nan, 1.0], [np.inf, 0.0]])
+def test_project_simplex_rejects_anything_but_a_finite_vector(v):
+    with pytest.raises(ValueError):
+        project_simplex(np.array(v))
+
+
 def test_optimize_single_full_cluster():
     r = optimize([FULL_3], np.array([225.0]), 3, OptimizerOptions(alpha=0.0))
     np.testing.assert_array_equal(r.p, [1.0])
@@ -326,7 +338,7 @@ def test_optimize_reports_infeasible_for_split_network():
     rng = np.random.default_rng(0)
     a = rng.uniform(0.0, 10.0, size=(4, 2))
     b = rng.uniform(0.0, 10.0, size=(4, 2)) + np.array([1e6, 0.0])
-    topo = Topology.from_positions(np.vstack([a, b]))
+    topo = Topology(np.vstack([a, b]))
     cands = enumerate_candidates(topo, 2, 4)
     costs = np.array([candidate_cost_l1(c, topo, EnergyParams()) for c in cands])
     r = optimize(cands, costs, 8, OptimizerOptions(alpha=0.0))
@@ -399,6 +411,11 @@ def test_optimize_rejects_empty_and_mismatched_inputs():
         optimize([], np.array([]), 3, OptimizerOptions())
     with pytest.raises(ValueError):
         optimize([FULL_3], np.array([1.0, 2.0]), 3, OptimizerOptions())
+    for cost in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            optimize([FULL_3], np.array([cost]), 3, OptimizerOptions())
+    with pytest.raises(NumericalError, match="overflows"):
+        optimize([FULL_3], np.array([1e300]), 3, OptimizerOptions(alpha=1e10))
 
 
 def test_optimizer_options_validation():

@@ -10,7 +10,6 @@ from clustergossip import (
     AveragedTrace,
     ClusterCandidate,
     ConfigurationError,
-    NetworkState,
     SimulationScenario,
     build_weight_matrix,
     consensus_step,
@@ -44,15 +43,14 @@ def _symmetric_scenario(threshold=1e-300, max_iters=30):
 def test_draw_initial_state_bounds_and_determinism():
     a = draw_initial_state(30, 0.0, 30.0, np.random.default_rng(4))
     b = draw_initial_state(30, 0.0, 30.0, np.random.default_rng(4))
-    assert a.y.shape == (30,)
-    assert a.t == 0
-    assert np.all(a.y >= 0.0) and np.all(a.y <= 30.0)
-    np.testing.assert_array_equal(a.y, b.y)
+    assert a.shape == (30,)
+    assert np.all(a >= 0.0) and np.all(a <= 30.0)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_draw_initial_state_degenerate_interval():
     state = draw_initial_state(5, 7.0, 7.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(state.y, np.full(5, 7.0))
+    np.testing.assert_array_equal(state, np.full(5, 7.0))
 
 
 def test_sample_cluster_degenerate_pmfs():
@@ -85,16 +83,15 @@ def test_sample_cluster_rejects_what_monte_carlo_rejects(p):
 
 
 def test_consensus_step_pair_average():
-    state = NetworkState(y=np.array([0.0, 10.0, 20.0]))
+    state = np.array([0.0, 10.0, 20.0])
     after = consensus_step(state, ClusterCandidate(head=1, members=(0, 1)))
-    np.testing.assert_array_equal(after.y, [5.0, 5.0, 20.0])
-    assert after.t == 1
+    np.testing.assert_array_equal(after, [5.0, 5.0, 20.0])
 
 
 def test_consensus_step_full_average():
-    state = NetworkState(y=np.array([0.0, 10.0, 20.0]))
+    state = np.array([0.0, 10.0, 20.0])
     after = consensus_step(state, FULL_3)
-    np.testing.assert_array_equal(after.y, [10.0, 10.0, 10.0])
+    np.testing.assert_array_equal(after, [10.0, 10.0, 10.0])
 
 
 @given(st.integers(0, 10_000))
@@ -104,28 +101,28 @@ def test_consensus_step_matches_weight_matrix(seed):
     y = rng.uniform(-10.0, 40.0, size=5)
     members = tuple(sorted(rng.choice(5, size=3, replace=False).tolist()))
     cand = ClusterCandidate(head=members[0], members=members)
-    after = consensus_step(NetworkState(y=y), cand)
-    np.testing.assert_allclose(after.y, build_weight_matrix(cand, 5) @ y, atol=1e-12)
-    assert np.mean(after.y) == pytest.approx(float(np.mean(y)), abs=1e-12)
+    after = consensus_step(y, cand)
+    np.testing.assert_allclose(after, build_weight_matrix(cand, 5) @ y, atol=1e-12)
+    assert np.mean(after) == pytest.approx(float(np.mean(y)), abs=1e-12)
 
 
 def test_relative_error_values():
-    initial = NetworkState(y=np.array([3.0, 4.0]))
+    initial = np.array([3.0, 4.0])
     assert relative_error(initial, initial) == pytest.approx(0.02, abs=1e-15)
-    consensus = NetworkState(y=np.full(2, 3.5), t=1)
+    consensus = np.full(2, 3.5)
     assert relative_error(consensus, initial) == pytest.approx(0.0)
-    wide = NetworkState(y=np.array([0.0, 30.0]))
+    wide = np.array([0.0, 30.0])
     assert relative_error(wide, wide) == pytest.approx(0.5)
 
 
 def test_relative_error_rejects_zero_initial():
-    zero = NetworkState(y=np.zeros(3))
+    zero = np.zeros(3)
     with pytest.raises(ValueError):
         relative_error(zero, zero)
 
 
 def test_run_trial_one_shot():
-    initial = NetworkState(y=np.array([0.0, 10.0, 20.0]))
+    initial = np.array([0.0, 10.0, 20.0])
     trace = run_trial(
         initial,
         np.array([1.0]),
@@ -141,7 +138,7 @@ def test_run_trial_one_shot():
 
 
 def test_run_trial_already_at_consensus():
-    initial = NetworkState(y=np.full(4, 7.0))
+    initial = np.full(4, 7.0)
     cand = ClusterCandidate(head=0, members=(0, 1, 2, 3))
     trace = run_trial(
         initial,
@@ -158,7 +155,7 @@ def test_run_trial_already_at_consensus():
 
 
 def test_run_trial_disconnected_support_never_terminates():
-    initial = NetworkState(y=np.array([0.0, 10.0, 20.0]))
+    initial = np.array([0.0, 10.0, 20.0])
     trace = run_trial(
         initial,
         np.array([1.0]),
@@ -195,7 +192,7 @@ def test_run_trial_energy_accounting_is_exact():
 def test_run_trial_rejects_nonpositive_threshold():
     with pytest.raises(ConfigurationError):
         run_trial(
-            NetworkState(y=np.ones(3)),
+            np.ones(3),
             np.array([1.0]),
             [FULL_3],
             np.array([1.0]),
@@ -208,8 +205,16 @@ def test_run_trial_rejects_nonpositive_threshold():
 def test_run_trial_rejects_nan_threshold():
     with pytest.raises(ConfigurationError, match="threshold"):
         run_trial(
-            NetworkState(y=np.ones(3)), np.array([1.0]), [FULL_3], np.array([1.0]),
+            np.ones(3), np.array([1.0]), [FULL_3], np.array([1.0]),
             float("nan"), 10, np.random.default_rng(0),
+        )
+
+
+def test_run_trial_rejects_a_zero_iteration_cap():
+    with pytest.raises(ConfigurationError, match="max_iters"):
+        run_trial(
+            np.ones(3), np.array([1.0]), [FULL_3], np.array([1.0]),
+            0.1, 0, np.random.default_rng(0),
         )
 
 

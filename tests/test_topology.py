@@ -111,6 +111,9 @@ def test_load_topology_rejects_garbage(tmp_path):
     path.write_text(json.dumps({"positions": [[0.0, 0.0], [1.0, float("inf")]]}))
     with pytest.raises(ConfigurationError, match="finite"):
         load_topology(path)
+    path.write_text(json.dumps({"nodes": [[0.0, 0.0], [3.0, 4.0]]}))
+    with pytest.raises(ConfigurationError, match='"positions" key'):
+        load_topology(path)
 
 
 def test_topology_derives_d_sq_from_its_positions():
@@ -145,7 +148,7 @@ def test_topology_derives_d_sq_from_its_positions():
 )
 def test_topology_rejects_malformed_positions(positions):
     with pytest.raises(ConfigurationError, match="positions"):
-        Topology.from_positions(positions)
+        Topology(positions)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +161,7 @@ def test_topology_rejects_malformed_positions(positions):
     ],
 )
 def test_topology_accepts_numbers_and_numeric_arrays(positions):
-    t = Topology.from_positions(positions)
+    t = Topology(positions)
     assert t.positions.dtype == float and t.d_sq[0, 1] == 25.0
 
 
