@@ -142,10 +142,7 @@ def prune_dominated(
     Returns:
         The kept subset, in the original enumeration order.
     """
-    if len(candidates) != len(costs):
-        raise ValueError(
-            f"got {len(candidates)} candidates but {len(costs)} costs"
-        )
+    costs = per_candidate(costs, candidates, "costs")
     best_by_members: dict[tuple[int, ...], int] = {}
     for i, cand in enumerate(candidates):
         cur = best_by_members.setdefault(cand.members, i)

@@ -317,18 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Energy-aware cluster activation for randomized average consensus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="path to JSON config")
 
-    run_p = sub.add_parser("run", help="run the full alpha sweep and write outputs")
-    run_p.add_argument("--config", required=True, help="path to JSON config")
-    run_p.add_argument("--output-dir", default=None, help="override output directory")
-    run_p.add_argument("--seed", type=int, default=None, help="override sim_base_seed")
-
-    val_p = sub.add_parser("validate", help="parse and constraint-check a config")
-    val_p.add_argument("--config", required=True, help="path to JSON config")
-
-    cand_p = sub.add_parser("candidates", help="print the candidate table")
-    cand_p.add_argument("--config", required=True, help="path to JSON config")
-
+    run = sub.add_parser("run", parents=[config], help="run the full alpha sweep and write outputs")
+    run.add_argument("--output-dir", default=None, help="override output directory")
+    run.add_argument("--seed", type=int, default=None, help="override sim_base_seed")
+    run.set_defaults(handler=_cmd_run)
+    sub.add_parser(
+        "validate", parents=[config], help="parse and constraint-check a config"
+    ).set_defaults(handler=_cmd_validate)
+    sub.add_parser(
+        "candidates", parents=[config], help="print the candidate table"
+    ).set_defaults(handler=_cmd_candidates)
     return parser
 
 
@@ -338,15 +339,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on a usage error, which would read as EXIT_INFEASIBLE.
         return EXIT_CONFIG_ERROR if exc.code else EXIT_OK
-    handlers = {
-        "run": _cmd_run,
-        "validate": _cmd_validate,
-        "candidates": _cmd_candidates,
-    }
     try:
-        return handlers[args.command](load_config(args.config), args)
+        return args.handler(load_config(args.config), args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:  # an allocation the OS refused: the config asked for too much
+        print(f"out of memory: {exc}; lower n_nodes, cluster_size_max or runs", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
@@ -358,7 +357,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-
-
-def entrypoint() -> None:
-    raise SystemExit(main())

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .candidates import ClusterCandidate, membership
+from .candidates import ClusterCandidate, membership, per_candidate
 from .errors import ConfigurationError
 
 __all__ = [
@@ -110,11 +110,11 @@ def draw_initial_state(
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
-    """The CDF of p, once p is checked to be nonnegative and to sum to 1 within 1e-6."""
+    """The CDF of p, once p is checked to be nonempty, nonnegative and to sum to 1 within 1e-6."""
     p = np.asarray(p, dtype=float)
     cumulative = np.cumsum(p)
-    if not (np.all(p >= 0) and abs(cumulative[-1] - 1.0) <= 1e-6):
-        raise ValueError(f"p must be nonnegative and sum to 1, got sum {cumulative[-1]}")
+    if not (p.size and np.all(p >= 0) and abs(cumulative[-1] - 1.0) <= 1e-6):
+        raise ValueError(f"p must be nonempty, nonnegative and sum to 1, got sum {p.sum()}")
     return cumulative
 
 
@@ -154,13 +154,13 @@ def run_trial(
     """Run one trial until the error threshold or the iteration cap.
 
     Slot energy is the activated candidate's total two-phase cost, taken
-    from ``costs`` (aligned with ``candidates``).
+    from ``costs``; ``p`` and ``costs`` need one entry per candidate.
     """
     if not threshold > 0:  # NaN too
         raise ConfigurationError(f"threshold must be positive, got {threshold}")
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
-    costs_arr = np.asarray(costs, dtype=float)
+    p, costs_arr = per_candidate(p, candidates, "p"), per_candidate(costs, candidates, "costs")
 
     y = initial
     errors = [relative_error(y, initial)]
@@ -253,13 +253,12 @@ def monte_carlo(
         raise ConfigurationError(f"threshold must be positive, got {scenario.threshold}")
     if scenario.max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {scenario.max_iters}")
-    cands, costs = scenario.candidates, np.asarray(scenario.costs_l1, dtype=float)
-    if not 0 < np.size(scenario.p) == len(cands) == costs.size:
-        raise ValueError("p, candidates and costs_l1 differ in length or are empty")
+    cands = scenario.candidates
+    costs = per_candidate(scenario.costs_l1, cands, "costs_l1")
     # flat[offset[i] : offset[i] + size_of[i]] holds candidate i's members, ascending.
     rows, flat = np.nonzero(membership(cands, scenario.n))
     size_of = np.bincount(rows, minlength=len(cands))
-    cumulative = _cumulative(scenario.p)
+    cumulative = _cumulative(per_candidate(scenario.p, cands, "p"))
     tables = (size_of, np.cumsum(size_of) - size_of, flat, costs)
     total, iterations, finals, terminated = np.zeros((2, 1)), [], [], 0
     for start in range(0, runs, _CHUNK_RUNS):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -373,6 +376,35 @@ def test_main_internal_error_exits_5(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("Traceback") and "RuntimeError: boom" in err
     assert err.splitlines()[-1] == "internal error: RuntimeError('boom')"
+
+
+@pytest.mark.parametrize("command", ["run", "candidates"])
+def test_out_of_memory_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys, command):
+    """An allocation the OS refuses is a config asking for too much, not a bug."""
+    config_path = _write_config(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(cli, "generate_topology", refuse)
+    assert main([command, "--config", str(config_path)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("out of memory: Unable to allocate 14.6 TiB")
+    assert all(key in err for key in ("n_nodes", "cluster_size_max", "runs"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_and_console_script_return_mains_exit_code():
+    """``python -m clustergossip`` and the console script both exit with main's code."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'clustergossip = "clustergossip.cli:main"' in pyproject
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv, code in ((["--help"], EXIT_OK), (["bogus"], EXIT_CONFIG_ERROR)):
+        done = subprocess.run(
+            [sys.executable, "-m", "clustergossip", *argv], env=env, capture_output=True
+        )
+        assert done.returncode == code
 
 
 def test_summary_reports_bound_gap_and_iterations(tmp_path, monkeypatch):

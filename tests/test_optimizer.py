@@ -584,24 +584,32 @@ def test_warm_eigenpair_matches_eigh(seed, case):
 
 
 def test_wrong_warm_solve_falls_back_to_eigh_byte_for_byte():
-    """A solve that returns a wrong vector fails the residual check, so the
-    run is the one where every eigenpair comes from eigh (solve raising)."""
+    """A solve that returns a wrong, a zero or a NaN vector has no usable
+    eigenvector, so the run is the one where every eigenpair comes from eigh
+    (solve raising)."""
     cands, costs, n = _random_pool(5, (8, 9), with_all_node=False)
 
     def wrong(a, b):
         return np.arange(1.0, b.size + 1.0)
 
+    def zero(a, b):
+        return np.zeros_like(b)
+
+    def nan(a, b):
+        return np.full_like(b, np.nan)
+
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
     results = []
-    for solve in (wrong, singular):
+    for solve in (wrong, zero, nan, singular):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.linalg, "solve", solve)
             results.append(optimize(cands, costs, n, OptimizerOptions(alpha=1e-4)))
-    from_wrong, from_eigh = results
+    *from_bad, from_eigh = results
     assert from_eigh.iterations > 0
-    assert from_wrong.p.tobytes() == from_eigh.p.tobytes()
-    assert (from_wrong.xi, from_wrong.objective, from_wrong.lower_bound, from_wrong.iterations) == (
-        from_eigh.xi, from_eigh.objective, from_eigh.lower_bound, from_eigh.iterations
-    )
+    for result in from_bad:
+        assert result.p.tobytes() == from_eigh.p.tobytes()
+        assert (result.xi, result.objective, result.lower_bound, result.iterations) == (
+            from_eigh.xi, from_eigh.objective, from_eigh.lower_bound, from_eigh.iterations
+        )

@@ -218,6 +218,22 @@ def test_run_trial_rejects_a_zero_iteration_cap():
         )
 
 
+@pytest.mark.parametrize(
+    "p,costs,name",
+    [
+        (np.array([1.0]), np.array([1.0, 1.0]), "p"),  # never drew the missing candidate
+        (np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0]), "p"),  # drew a missing index
+        (np.array([0.5, 0.5]), np.array([1.0]), "costs"),  # raised IndexError mid-run
+    ],
+)
+def test_run_trial_rejects_values_not_one_per_candidate(p, costs, name):
+    with pytest.raises(ValueError, match=f"^{name}: shape"):
+        run_trial(
+            np.array([0.0, 0.0, 30.0]), p, [PAIR_01, PAIR_12], costs,
+            1e-300, 30, np.random.default_rng(0),
+        )
+
+
 def test_monte_carlo_single_run_equals_trial():
     scenario = _symmetric_scenario(threshold=0.01, max_iters=50)
     avg = monte_carlo(scenario, runs=1, base_seed=77)
@@ -479,6 +495,8 @@ def test_monte_carlo_matches_reference_across_chunks_and_edge_runs():
         ({"init_low": -1.7e308, "init_high": 1.7e308}, 5, ConfigurationError),
         ({"init_low": -1e200, "init_high": 1e200, "max_iters": 20}, 5, ConfigurationError),
         ({"threshold": float("nan")}, 5, ConfigurationError),
+        ({"p": np.array([[0.5, 0.5]])}, 5, ValueError),  # the right size, but 2-D
+        ({"candidates": (), "p": np.array([]), "costs_l1": np.array([])}, 5, ValueError),
     ],
 )
 def test_monte_carlo_rejects_bad_scenario(changes, runs, error):
