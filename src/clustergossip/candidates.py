@@ -20,6 +20,7 @@ from .topology import Topology
 
 __all__ = [
     "ClusterCandidate",
+    "check_sizes",
     "enumerate_candidates",
     "build_weight_matrix",
     "membership",
@@ -53,6 +54,20 @@ class ClusterCandidate:
         return len(self.members)
 
 
+def check_sizes(n: int, size_min: int, size_max: int) -> None:
+    """Reject cluster sizes below 2, above the n nodes, or an empty size range."""
+    if size_min < 2:
+        raise ConfigurationError(f"cluster_size_min must be >= 2, got {size_min}")
+    if size_max > n:
+        raise ConfigurationError(
+            f"cluster_size_max must be <= number of nodes ({n}), got {size_max}"
+        )
+    if size_min > size_max:
+        raise ConfigurationError(
+            f"cluster_size_min {size_min} exceeds cluster_size_max {size_max}"
+        )
+
+
 def enumerate_candidates(
     topology: Topology, size_min: int, size_max: int
 ) -> list[ClusterCandidate]:
@@ -72,17 +87,7 @@ def enumerate_candidates(
         from different heads are all kept; prune_dominated resolves them.
     """
     n = topology.n
-    if size_min < 2:
-        raise ConfigurationError(f"cluster_size_min must be >= 2, got {size_min}")
-    if size_max > n:
-        raise ConfigurationError(
-            f"cluster_size_max must be <= number of nodes ({n}), got {size_max}"
-        )
-    if size_min > size_max:
-        raise ConfigurationError(
-            f"cluster_size_min {size_min} exceeds cluster_size_max {size_max}"
-        )
-
+    check_sizes(n, size_min, size_max)
     out: list[ClusterCandidate] = []
     for head in range(n):
         # Stable neighbor order: by squared distance, then node index.

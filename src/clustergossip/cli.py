@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .candidates import ClusterCandidate, enumerate_candidates, prune_dominated
+from .candidates import ClusterCandidate, check_sizes, enumerate_candidates, prune_dominated
 from .energy import EnergyParams, cost_rows
 from .errors import ConfigurationError, NumericalError, is_finite_number, read_json_object
 from .optimizer import MIN_EPSILON, OptimizerOptions, optimize
@@ -295,6 +295,10 @@ def _cmd_run(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    if config.topology_file is not None:  # loaded and size-checked as run does; no field is drawn
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing distances pass, like costs
+            n = load_topology(config.topology_file).n
+        check_sizes(n, config.cluster_size_min, config.size_max(n))
     print(f"config OK: {args.config} ({len(config.alphas)} alpha value(s))")
     return EXIT_OK
 

@@ -162,30 +162,22 @@ def run_trial(
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
     p, costs_arr = per_candidate(p, candidates, "p"), per_candidate(costs, candidates, "costs")
 
-    y = initial
-    errors = [relative_error(y, initial)]
-    energies = [0.0]
-    activations: list[int] = []
-    terminated_at: int | None = None
-
-    if errors[0] < threshold:
-        terminated_at = 0
-    else:
-        for t in range(1, max_iters + 1):
+    y, errors, energies, activations = initial, [], [0.0], []
+    for t in range(max_iters + 1):
+        if t:  # slot 0 is the initial state: nothing is drawn, averaged or charged
             idx = sample_cluster(p, rng)
             y = consensus_step(y, candidates[idx])
             activations.append(idx)
-            errors.append(relative_error(y, initial))
             energies.append(energies[-1] + costs_arr[idx])
-            if errors[-1] < threshold:
-                terminated_at = t
-                break
+        errors.append(relative_error(y, initial))
+        if errors[-1] < threshold:
+            break
 
     return SimulationTrace(
         errors=np.array(errors),
         energies=np.array(energies),
         activations=np.array(activations, dtype=int),
-        terminated_at=terminated_at,
+        terminated_at=t if errors[-1] < threshold else None,
     )
 
 
@@ -202,34 +194,32 @@ def _run_chunk(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     low, high = scenario.init_low, scenario.init_high
     y = np.array([draw_initial_state(scenario.n, low, high, rng) for rng in rngs])
-    error = np.array([relative_error(y0, y0) for y0 in y])
-    mean0, denom = np.array([(y0.mean(), y0 @ y0) for y0 in y]).T
-    energy = np.zeros(len(rngs))
-    sums = [(error.sum(), 0.0)]
-    stop = np.where(error < scenario.threshold, 0, scenario.max_iters)
-    live = np.flatnonzero(error >= scenario.threshold)
-    block = np.empty((len(rngs), _BLOCK))
-    for t in range(1, scenario.max_iters + 1):
+    # Batched, these round as relative_error's y0.mean(), y0 @ y0 and eps @ eps.
+    mean0, denom = y.mean(axis=1), np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
+    error, energy = np.zeros((2, len(rngs)))
+    stop, live = np.full(len(rngs), scenario.max_iters), np.arange(len(rngs))
+    sums, block = [], np.empty((len(rngs), _BLOCK))
+    for t in range(scenario.max_iters + 1):
         if live.size == 0:
             break
-        column = (t - 1) % _BLOCK
-        if column == 0:
-            # Generator.random(k) yields the doubles of k scalar random() calls.
-            for r in live:
-                rngs[r].random(out=block[r])
-        drawn = np.searchsorted(cumulative, block[live, column], side="right")
-        drawn = np.minimum(drawn, cumulative.size - 1)
-        # One gather, row mean and scatter per cluster size: the same pairwise
-        # sums as consensus_step's y[idx].mean(), which zero padding would change.
-        sizes = size_of[drawn]
-        for s in np.flatnonzero(np.bincount(sizes)).tolist():
-            pick = sizes == s
-            rows, cols = live[pick][:, None], flat[offset[drawn[pick], None] + np.arange(s)]
-            y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / s
-        # A batched matmul rounds exactly as relative_error's eps @ eps.
+        if t:  # slot 0 is the initial state: nothing is drawn, averaged or charged
+            column = (t - 1) % _BLOCK
+            if column == 0:
+                # Generator.random(k) yields the doubles of k scalar random() calls.
+                for r in live:
+                    rngs[r].random(out=block[r])
+            drawn = np.searchsorted(cumulative, block[live, column], side="right")
+            drawn = np.minimum(drawn, cumulative.size - 1)
+            # One gather, row mean and scatter per cluster size: the same pairwise
+            # sums as consensus_step's y[idx].mean(), which zero padding would change.
+            sizes = size_of[drawn]
+            for s in np.flatnonzero(np.bincount(sizes)).tolist():
+                pick = sizes == s
+                rows, cols = live[pick][:, None], flat[offset[drawn[pick], None] + np.arange(s)]
+                y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / s
+            energy[live] += costs[drawn]
         eps = y[live] - mean0[live, None]
         error[live] = np.matmul(eps[:, None, :], eps[:, :, None])[:, 0, 0] / denom[live]
-        energy[live] += costs[drawn]
         sums.append((error.sum(), energy.sum()))
         crossed = error[live] < scenario.threshold
         stop[live[crossed]] = t

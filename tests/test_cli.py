@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -503,14 +505,21 @@ def test_topology_file_sizes_and_positions(tmp_path, capsys):
     assert summary[0]["support"][0]["members"] == [0, 1, 2, 3]
     capsys.readouterr()
 
+    # validate loads the file and applies its node count, exiting 1 with run's message.
     path = _write_config(tmp_path, topology_file=str(topo_file), cluster_size_max=5)
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG_ERROR
-    assert "cluster_size_max" in capsys.readouterr().err
+    message = capsys.readouterr().err
+    assert "cluster_size_max" in message
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == message
 
     topo_file.write_text(json.dumps({"positions": [[0, 0], [1, 0], [float("nan"), 1]]}))
     path = _write_config(tmp_path, topology_file=str(topo_file), cluster_size_max=None)
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG_ERROR
-    assert "finite" in capsys.readouterr().err
+    message = capsys.readouterr().err
+    assert "finite" in message
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == message
 
 
 def test_summary_reports_terminated_runs(tmp_path):
@@ -641,14 +650,25 @@ _positions = st.one_of(
 )
 
 
+def _exit_and_stderr(argv: list[str]) -> tuple[int, str]:
+    """main's exit code and what it printed to stderr."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        return main(argv), err.getvalue()
+
+
 @given(_positions)
 @settings(max_examples=200, deadline=None)
 def test_candidates_never_raises_on_malformed_topology_files(positions):
     """Strings, nulls, bools, ragged or short rows, dicts, huge integers and
-    non-finite numbers as positions: exit 0 or 1, never a traceback."""
+    non-finite numbers as positions: exit 0 or 1, never a traceback. validate
+    rejects the same positions, with the same message."""
     with tempfile.TemporaryDirectory() as tmp:
         topo_file = Path(tmp) / "nodes.json"
         topo_file.write_text(json.dumps({"positions": positions}))
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps({"topology_file": str(topo_file)}))
-        assert main(["candidates", "--config", str(path)]) in (EXIT_OK, EXIT_CONFIG_ERROR)
+        code, message = _exit_and_stderr(["candidates", "--config", str(path)])
+        assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
+        if "positions" in message:
+            validated = _exit_and_stderr(["validate", "--config", str(path)])
+            assert validated == (EXIT_CONFIG_ERROR, message)
