@@ -162,7 +162,10 @@ def run_trial(
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
     p, costs_arr = per_candidate(p, candidates, "p"), per_candidate(costs, candidates, "costs")
 
-    y, errors, energies, activations = initial, [], [0.0], []
+    y = initial
+    errors: list[float] = []
+    energies = [0.0]
+    activations: list[int] = []
     for t in range(max_iters + 1):
         if t:  # slot 0 is the initial state: nothing is drawn, averaged or charged
             idx = sample_cluster(p, rng)
@@ -195,10 +198,14 @@ def _run_chunk(
     low, high = scenario.init_low, scenario.init_high
     y = np.array([draw_initial_state(scenario.n, low, high, rng) for rng in rngs])
     # Batched, these round as relative_error's y0.mean(), y0 @ y0 and eps @ eps.
-    mean0, denom = y.mean(axis=1), np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
-    error, energy = np.zeros((2, len(rngs)))
-    stop, live = np.full(len(rngs), scenario.max_iters), np.arange(len(rngs))
-    sums, block = [], np.empty((len(rngs), _BLOCK))
+    mean0 = y.mean(axis=1)
+    denom = np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
+    error = np.zeros(len(rngs))
+    energy = np.zeros(len(rngs))
+    stop = np.full(len(rngs), scenario.max_iters)
+    live = np.arange(len(rngs))
+    sums = []
+    block = np.empty((len(rngs), _BLOCK))
     for t in range(scenario.max_iters + 1):
         if live.size == 0:
             break

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import clustergossip.cli as cli
 from clustergossip import (
@@ -657,11 +657,13 @@ def _exit_and_stderr(argv: list[str]) -> tuple[int, str]:
 
 
 @given(_positions)
+@example([[0, 0], [1e200, 0]])
 @settings(max_examples=200, deadline=None)
 def test_candidates_never_raises_on_malformed_topology_files(positions):
     """Strings, nulls, bools, ragged or short rows, dicts, huge integers and
     non-finite numbers as positions: exit 0 or 1, never a traceback. validate
-    rejects the same positions, with the same message."""
+    rejects the positions that loading the file rejects, with the same message,
+    and passes finite positions whose candidate costs overflow."""
     with tempfile.TemporaryDirectory() as tmp:
         topo_file = Path(tmp) / "nodes.json"
         topo_file.write_text(json.dumps({"positions": positions}))
@@ -669,6 +671,8 @@ def test_candidates_never_raises_on_malformed_topology_files(positions):
         path.write_text(json.dumps({"topology_file": str(topo_file)}))
         code, message = _exit_and_stderr(["candidates", "--config", str(path)])
         assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
-        if "positions" in message:
-            validated = _exit_and_stderr(["validate", "--config", str(path)])
+        validated = _exit_and_stderr(["validate", "--config", str(path)])
+        if "candidate costs overflow" in message:
+            assert validated == (EXIT_OK, "")
+        elif "positions" in message:
             assert validated == (EXIT_CONFIG_ERROR, message)

@@ -424,27 +424,32 @@ def test_monte_carlo_matches_run_trial_average(scenario, runs, base_seed, chunk,
 
 
 def test_monte_carlo_one_run_bit_identical_on_many_seeds():
-    """Sizes 2..30 on n = 30, so the row means cover pairwise sums over 8+ terms."""
+    """Sizes 2..n on n = 30 and n = 300, so the row means cover pairwise sums over
+    8+ terms, and on n = 300 numpy's blocked sums past 128 terms, in the initial
+    mean and squared norm as well as in the cluster means."""
     rng = np.random.default_rng(3)
-    member_sets = [tuple(sorted(rng.choice(30, s, replace=False).tolist())) for s in range(2, 31)]
-    candidates = tuple(ClusterCandidate(head=m[0], members=m) for m in member_sets)
-    p = rng.random(len(candidates))
-    p[::4] = 0.0
-    scenario = SimulationScenario(
-        candidates=candidates,
-        costs_l1=rng.uniform(1.0, 50.0, len(candidates)),
-        p=p / p.sum(),
-        n=30,
-        init_low=0.0,
-        init_high=30.0,
-        threshold=1e-12,
-        max_iters=80,
-    )
-    for seed in range(80):
-        traces, _ = _reference_average(scenario, 1, seed)
-        avg = monte_carlo(scenario, 1, seed)
-        np.testing.assert_array_equal(avg.mean_errors, traces[0].errors)
-        np.testing.assert_array_equal(avg.mean_energies, traces[0].energies)
+    for n, seeds in ((30, 80), (300, 10)):
+        member_sets = [
+            tuple(sorted(rng.choice(n, s, replace=False).tolist())) for s in range(2, n + 1)
+        ]
+        candidates = tuple(ClusterCandidate(head=m[0], members=m) for m in member_sets)
+        p = rng.random(len(candidates))
+        p[::4] = 0.0
+        scenario = SimulationScenario(
+            candidates=candidates,
+            costs_l1=rng.uniform(1.0, 50.0, len(candidates)),
+            p=p / p.sum(),
+            n=n,
+            init_low=0.0,
+            init_high=30.0,
+            threshold=1e-12,
+            max_iters=80,
+        )
+        for seed in range(seeds):
+            traces, _ = _reference_average(scenario, 1, seed)
+            avg = monte_carlo(scenario, 1, seed)
+            np.testing.assert_array_equal(avg.mean_errors, traces[0].errors)
+            np.testing.assert_array_equal(avg.mean_energies, traces[0].energies)
 
 
 def test_monte_carlo_matches_reference_across_chunks_and_edge_runs():
