@@ -20,11 +20,8 @@ from .topology import Topology
 
 __all__ = [
     "ClusterCandidate",
-    "check_sizes",
     "enumerate_candidates",
     "build_weight_matrix",
-    "membership",
-    "per_candidate",
     "prune_dominated",
 ]
 

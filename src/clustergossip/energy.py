@@ -23,7 +23,6 @@ __all__ = [
     "cost_fc",
     "cost_bc",
     "candidate_cost_l1",
-    "cost_rows",
     "expected_cost",
 ]
 

@@ -4,6 +4,11 @@ import json
 import sys
 from pathlib import Path
 
+__all__ = [
+    "ConfigurationError",
+    "NumericalError",
+]
+
 
 class ConfigurationError(ValueError):
     """Raised when a configuration value or precondition is invalid."""

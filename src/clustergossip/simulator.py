@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +55,11 @@ class SimulationTrace:
 
 @dataclass(frozen=True)
 class SimulationScenario:
-    """Everything a trial needs besides its random stream."""
+    """Everything a trial needs besides its random stream, checked when built.
+
+    threshold > 0, max_iters >= 1, p a distribution and costs_l1 a cost per
+    candidate (both stored as float vectors), and every member in [0, n).
+    """
 
     candidates: tuple[ClusterCandidate, ...]
     costs_l1: np.ndarray
@@ -66,6 +69,17 @@ class SimulationScenario:
     init_high: float
     threshold: float
     max_iters: int
+
+    def __post_init__(self) -> None:
+        """Check the rules above; ``replace`` runs this too."""
+        if not self.threshold > 0:  # NaN too
+            raise ConfigurationError(f"threshold must be positive, got {self.threshold}")
+        if self.max_iters < 1:
+            raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("p", "costs_l1"):
+            object.__setattr__(self, name, per_candidate(getattr(self, name), self.candidates, name))
+        _cumulative(self.p)
+        membership(self.candidates, self.n)  # only for its member-range check
 
 
 @dataclass(frozen=True)
@@ -143,44 +157,32 @@ def relative_error(y: np.ndarray, y0: np.ndarray) -> float:
 
 
 def run_trial(
-    initial: np.ndarray,
-    p: np.ndarray,
-    candidates: Sequence[ClusterCandidate],
-    costs: Sequence[float],
-    threshold: float,
-    max_iters: int,
-    rng: np.random.Generator,
+    scenario: SimulationScenario, initial: np.ndarray, rng: np.random.Generator
 ) -> SimulationTrace:
-    """Run one trial until the error threshold or the iteration cap.
+    """Run one trial from the readings ``initial`` until the error threshold or the iteration cap.
 
-    Slot energy is the activated candidate's total two-phase cost, taken
-    from ``costs``; ``p`` and ``costs`` need one entry per candidate.
+    Slot energy is the activated candidate's total two-phase cost, taken from
+    ``scenario.costs_l1``.
     """
-    if not threshold > 0:  # NaN too
-        raise ConfigurationError(f"threshold must be positive, got {threshold}")
-    if max_iters < 1:
-        raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
-    p, costs_arr = per_candidate(p, candidates, "p"), per_candidate(costs, candidates, "costs")
-
     y = initial
     errors: list[float] = []
     energies = [0.0]
     activations: list[int] = []
-    for t in range(max_iters + 1):
+    for t in range(scenario.max_iters + 1):
         if t:  # slot 0 is the initial state: nothing is drawn, averaged or charged
-            idx = sample_cluster(p, rng)
-            y = consensus_step(y, candidates[idx])
+            idx = sample_cluster(scenario.p, rng)
+            y = consensus_step(y, scenario.candidates[idx])
             activations.append(idx)
-            energies.append(energies[-1] + costs_arr[idx])
+            energies.append(energies[-1] + scenario.costs_l1[idx])
         errors.append(relative_error(y, initial))
-        if errors[-1] < threshold:
+        if errors[-1] < scenario.threshold:
             break
 
     return SimulationTrace(
         errors=np.array(errors),
         energies=np.array(energies),
         activations=np.array(activations, dtype=int),
-        terminated_at=t if errors[-1] < threshold else None,
+        terminated_at=t if errors[-1] < scenario.threshold else None,
     )
 
 
@@ -246,17 +248,12 @@ def monte_carlo(
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
-    if not scenario.threshold > 0:  # NaN too
-        raise ConfigurationError(f"threshold must be positive, got {scenario.threshold}")
-    if scenario.max_iters < 1:
-        raise ConfigurationError(f"max_iters must be >= 1, got {scenario.max_iters}")
     cands = scenario.candidates
-    costs = per_candidate(scenario.costs_l1, cands, "costs_l1")
     # flat[offset[i] : offset[i] + size_of[i]] holds candidate i's members, ascending.
-    rows, flat = np.nonzero(membership(cands, scenario.n))
-    size_of = np.bincount(rows, minlength=len(cands))
-    cumulative = _cumulative(per_candidate(scenario.p, cands, "p"))
-    tables = (size_of, np.cumsum(size_of) - size_of, flat, costs)
+    flat = np.array([j for cand in cands for j in cand.members], dtype=int)
+    size_of = np.array([cand.size for cand in cands], dtype=int)
+    cumulative = np.cumsum(scenario.p)
+    tables = (size_of, np.cumsum(size_of) - size_of, flat, scenario.costs_l1)
     total, iterations, finals, terminated = np.zeros((2, 1)), [], [], 0
     for start in range(0, runs, _CHUNK_RUNS):
         seeds = range(base_seed + start, base_seed + min(start + _CHUNK_RUNS, runs))

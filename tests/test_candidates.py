@@ -6,15 +6,18 @@ from clustergossip import (
     ClusterCandidate,
     ConfigurationError,
     EnergyParams,
+    SimulationScenario,
     Topology,
     build_weight_matrix,
     candidate_cost_l1,
     enumerate_candidates,
     generate_topology,
     mixing_matrix,
+    monte_carlo,
     objective_subgradient,
     optimize,
     prune_dominated,
+    run_trial,
     xi,
 )
 from clustergossip.energy import cost_rows
@@ -182,6 +185,10 @@ def test_prune_preserves_distinct_weight_matrices():
     assert len(kept) == len(after)
 
 
+def _scenario(cands):
+    return SimulationScenario(tuple(cands), [1.0], [1.0], 2, 0.0, 30.0, 0.1, 10)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -191,16 +198,19 @@ def test_prune_preserves_distinct_weight_matrices():
         lambda cands: objective_subgradient(np.array([1.0]), cands, [1.0], 0.0, 2),
         lambda cands: cost_rows(cands, Topology(np.zeros((2, 2))), EnergyParams()),
         lambda cands: build_weight_matrix(cands[0], 2),
+        lambda cands: run_trial(_scenario(cands), np.array([0.0, 30.0]), np.random.default_rng(0)),
+        lambda cands: monte_carlo(_scenario(cands), 1, 0),
     ],
     ids=[
         "optimize", "mixing_matrix", "xi", "objective_subgradient", "cost_rows",
-        "build_weight_matrix",
+        "build_weight_matrix", "run_trial", "monte_carlo",
     ],
 )
 @pytest.mark.parametrize("head,members", [(0, (0, 1, 2)), (2, (0, 1, 2)), (-1, (-1, 0))])
 def test_member_outside_range_names_n(call, head, members):
-    """Every layer that reads the membership matrix rejects a member
-    outside [0, n) with a ValueError naming n, not numpy's IndexError."""
+    """Every layer that reads candidates' members, both simulators included, rejects
+    a member outside [0, n) with a ValueError naming n, not numpy's IndexError or a
+    silent wrap of -1 to n - 1."""
     with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
         call([ClusterCandidate(head=head, members=members)])
 

@@ -27,17 +27,21 @@ PAIR_12 = ClusterCandidate(head=1, members=(1, 2))
 FULL_3 = ClusterCandidate(head=0, members=(0, 1, 2))
 
 
-def _symmetric_scenario(threshold=1e-300, max_iters=30):
+def _scenario(candidates, costs_l1, p, threshold, max_iters, n=3):
     return SimulationScenario(
-        candidates=(PAIR_01, PAIR_12),
-        costs_l1=np.array([1.0, 1.0]),
-        p=np.array([0.5, 0.5]),
-        n=3,
+        candidates=tuple(candidates),
+        costs_l1=costs_l1,
+        p=p,
+        n=n,
         init_low=0.0,
         init_high=30.0,
         threshold=threshold,
         max_iters=max_iters,
     )
+
+
+def _symmetric_scenario(threshold=1e-300, max_iters=30):
+    return _scenario((PAIR_01, PAIR_12), [1.0, 1.0], [0.5, 0.5], threshold, max_iters)
 
 
 def test_draw_initial_state_bounds_and_determinism():
@@ -123,15 +127,8 @@ def test_relative_error_rejects_zero_initial():
 
 def test_run_trial_one_shot():
     initial = np.array([0.0, 10.0, 20.0])
-    trace = run_trial(
-        initial,
-        np.array([1.0]),
-        [FULL_3],
-        np.array([225.0]),
-        0.1,
-        50,
-        np.random.default_rng(2),
-    )
+    scenario = _scenario([FULL_3], [225.0], [1.0], 0.1, 50)
+    trace = run_trial(scenario, initial, np.random.default_rng(2))
     assert trace.terminated_at == 1
     assert trace.errors[-1] == 0.0
     np.testing.assert_array_equal(trace.energies, [0.0, 225.0])
@@ -140,15 +137,8 @@ def test_run_trial_one_shot():
 def test_run_trial_already_at_consensus():
     initial = np.full(4, 7.0)
     cand = ClusterCandidate(head=0, members=(0, 1, 2, 3))
-    trace = run_trial(
-        initial,
-        np.array([1.0]),
-        [cand],
-        np.array([9.0]),
-        0.1,
-        50,
-        np.random.default_rng(3),
-    )
+    scenario = _scenario([cand], [9.0], [1.0], 0.1, 50, n=4)
+    trace = run_trial(scenario, initial, np.random.default_rng(3))
     assert trace.terminated_at == 0
     np.testing.assert_array_equal(trace.energies, [0.0])
     assert trace.activations.size == 0
@@ -156,15 +146,8 @@ def test_run_trial_already_at_consensus():
 
 def test_run_trial_disconnected_support_never_terminates():
     initial = np.array([0.0, 10.0, 20.0])
-    trace = run_trial(
-        initial,
-        np.array([1.0]),
-        [PAIR_01],
-        np.array([50.0]),
-        1e-6,
-        40,
-        np.random.default_rng(5),
-    )
+    scenario = _scenario([PAIR_01], [50.0], [1.0], 1e-6, 40)
+    trace = run_trial(scenario, initial, np.random.default_rng(5))
     assert trace.terminated_at is None
     assert trace.errors.size == 41
     # node 2 never mixes, so the error floor stays well above zero
@@ -174,64 +157,25 @@ def test_run_trial_disconnected_support_never_terminates():
 def test_run_trial_energy_accounting_is_exact():
     initial = draw_initial_state(3, 0.0, 30.0, np.random.default_rng(6))
     costs = np.array([50.0, 130.0])
-    trace = run_trial(
-        initial,
-        np.array([0.5, 0.5]),
-        [PAIR_01, PAIR_12],
-        costs,
-        1e-300,
-        25,
-        np.random.default_rng(7),
-    )
+    scenario = _scenario([PAIR_01, PAIR_12], costs, [0.5, 0.5], 1e-300, 25)
+    trace = run_trial(scenario, initial, np.random.default_rng(7))
     total = 0.0
     for t, cluster_index in enumerate(trace.activations, start=1):
         total += costs[cluster_index]
         assert trace.energies[t] == total
 
 
-def test_run_trial_rejects_nonpositive_threshold():
-    with pytest.raises(ConfigurationError):
-        run_trial(
-            np.ones(3),
-            np.array([1.0]),
-            [FULL_3],
-            np.array([1.0]),
-            0.0,
-            10,
-            np.random.default_rng(0),
-        )
-
-
-def test_run_trial_rejects_nan_threshold():
-    with pytest.raises(ConfigurationError, match="threshold"):
-        run_trial(
-            np.ones(3), np.array([1.0]), [FULL_3], np.array([1.0]),
-            float("nan"), 10, np.random.default_rng(0),
-        )
-
-
-def test_run_trial_rejects_a_zero_iteration_cap():
-    with pytest.raises(ConfigurationError, match="max_iters"):
-        run_trial(
-            np.ones(3), np.array([1.0]), [FULL_3], np.array([1.0]),
-            0.1, 0, np.random.default_rng(0),
-        )
-
-
 @pytest.mark.parametrize(
-    "p,costs,name",
+    "p,costs_l1,name",
     [
-        (np.array([1.0]), np.array([1.0, 1.0]), "p"),  # never drew the missing candidate
-        (np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0]), "p"),  # drew a missing index
-        (np.array([0.5, 0.5]), np.array([1.0]), "costs"),  # raised IndexError mid-run
+        ([1.0], [1.0, 1.0], "p"),  # run_trial never drew the missing candidate
+        ([0.0, 0.0, 1.0], [1.0, 1.0], "p"),  # run_trial drew a missing index
+        ([0.5, 0.5], [1.0], "costs_l1"),  # run_trial raised IndexError mid-run
     ],
 )
-def test_run_trial_rejects_values_not_one_per_candidate(p, costs, name):
+def test_scenario_rejects_values_not_one_per_candidate(p, costs_l1, name):
     with pytest.raises(ValueError, match=f"^{name}: shape"):
-        run_trial(
-            np.array([0.0, 0.0, 30.0]), p, [PAIR_01, PAIR_12], costs,
-            1e-300, 30, np.random.default_rng(0),
-        )
+        _scenario([PAIR_01, PAIR_12], costs_l1, p, 1e-300, 30)
 
 
 def test_monte_carlo_single_run_equals_trial():
@@ -239,9 +183,7 @@ def test_monte_carlo_single_run_equals_trial():
     avg = monte_carlo(scenario, runs=1, base_seed=77)
     rng = np.random.default_rng(77)
     initial = draw_initial_state(3, 0.0, 30.0, rng)
-    trace = run_trial(
-        initial, scenario.p, scenario.candidates, scenario.costs_l1, 0.01, 50, rng
-    )
+    trace = run_trial(scenario, initial, rng)
     np.testing.assert_array_equal(avg.mean_errors, trace.errors)
     np.testing.assert_array_equal(avg.mean_energies, trace.energies)
     assert avg.runs == 1
@@ -269,12 +211,7 @@ def test_monte_carlo_right_extends_finished_runs():
     for r in range(runs):
         rng = np.random.default_rng(9 + r)
         initial = draw_initial_state(3, 0.0, 30.0, rng)
-        traces.append(
-            run_trial(
-                initial, scenario.p, scenario.candidates, scenario.costs_l1,
-                0.05, 200, rng,
-            )
-        )
+        traces.append(run_trial(scenario, initial, rng))
     length = max(t.errors.size for t in traces)
     err = np.zeros((runs, length))
     eng = np.zeros((runs, length))
@@ -342,12 +279,7 @@ def _reference_average(scenario, runs, base_seed):
     for r in range(runs):
         rng = np.random.default_rng(base_seed + r)
         initial = draw_initial_state(scenario.n, scenario.init_low, scenario.init_high, rng)
-        traces.append(
-            run_trial(
-                initial, scenario.p, scenario.candidates, scenario.costs_l1,
-                scenario.threshold, scenario.max_iters, rng,
-            )
-        )
+        traces.append(run_trial(scenario, initial, rng))
     length = max(t.errors.size for t in traces)
     err = np.zeros(length)
     eng = np.zeros(length)
@@ -505,6 +437,5 @@ def test_monte_carlo_matches_reference_across_chunks_and_edge_runs():
     ],
 )
 def test_monte_carlo_rejects_bad_scenario(changes, runs, error):
-    scenario = replace(_symmetric_scenario(), **changes)
     with pytest.raises(error):
-        monte_carlo(scenario, runs, 0)
+        monte_carlo(replace(_symmetric_scenario(), **changes), runs, 0)
