@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, show
 from .topology import Topology
 
 __all__ = [
@@ -52,16 +52,16 @@ class ClusterCandidate:
 
 
 def check_sizes(n: int, size_min: int, size_max: int) -> None:
-    """Reject cluster sizes below 2, above the n nodes, or an empty size range."""
+    """Reject cluster sizes below 2, above the n nodes the run uses, or an empty size range."""
     if size_min < 2:
-        raise ConfigurationError(f"cluster_size_min must be >= 2, got {size_min}")
+        raise ConfigurationError(f"cluster_size_min must be >= 2, got {show(size_min)}")
     if size_max > n:
         raise ConfigurationError(
-            f"cluster_size_max must be <= number of nodes ({n}), got {size_max}"
+            f"cluster_size_max must be <= number of nodes ({show(n)}), got {show(size_max)}"
         )
     if size_min > size_max:
         raise ConfigurationError(
-            f"cluster_size_min {size_min} exceeds cluster_size_max {size_max}"
+            f"cluster_size_min {show(size_min)} exceeds cluster_size_max {show(size_max)}"
         )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .candidates import ClusterCandidate, check_sizes, enumerate_candidates, prune_dominated
 from .energy import EnergyParams, cost_rows
-from .errors import ConfigurationError, NumericalError, is_finite_number, read_json_object
+from .errors import ConfigurationError, NumericalError, is_finite_number, read_json_object, show
 from .optimizer import MIN_EPSILON, OptimizerOptions, optimize
 from .simulator import AveragedTrace, SimulationScenario, monte_carlo
 from .topology import Topology, generate_topology, load_topology
@@ -82,21 +82,19 @@ class ExperimentConfig:
             kind, _, optional = field.type.partition(" | ")
             is_kind, noun = _TYPE_RULES[kind]
             if not is_kind(value) and not (optional and value is None):
-                fail(field.name, f"must be {noun}, got {_show(value)}")
+                fail(field.name, f"must be {noun}, got {show(value)}")
         for key, least in _AT_LEAST.items():
             if getattr(self, key) < least:
-                fail(key, f"must be >= {least}, got {_show(getattr(self, key))}")
+                fail(key, f"must be >= {least}, got {show(getattr(self, key))}")
         for key in ("area_side", "error_threshold"):
             if getattr(self, key) <= 0:
-                fail(key, f"must be positive, got {_show(getattr(self, key))}")
+                fail(key, f"must be positive, got {show(getattr(self, key))}")
         if self.max_iterations >= 2**63:  # monte_carlo keeps slot counts as int64
-            fail("max_iterations", f"must be < 2**63, got {_show(self.max_iterations)}")
+            fail("max_iterations", f"must be < 2**63, got {show(self.max_iterations)}")
         if not self.output_dir or "\0" in self.output_dir:
             fail("output_dir", f"must be a nonempty path with no NUL, got {self.output_dir!r}")
-        if self.size_max() < self.cluster_size_min:
-            fail("cluster_size_max", f"must be >= cluster_size_min, got {_show(self.size_max())}")
-        if self.topology_file is None and self.size_max() > self.n_nodes:
-            fail("cluster_size_max", f"must be <= n_nodes, got {_show(self.size_max())}")
+        if self.topology_file is None:  # a file's node count is known once it is loaded
+            check_sizes(self.n_nodes, self.cluster_size_min, self.size_max())
         if len(self.alphas) == 0:
             fail("alphas", "must be a nonempty list")
         if any(a < 0 for a in self.alphas):
@@ -115,20 +113,9 @@ class ExperimentConfig:
         return self.n_nodes if n_nodes is None else n_nodes
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _show(value: Any) -> str:
-    """repr(value), except that an int of over 1000 bits, which str() may refuse, is sized."""
-    if _is_int(value) and value.bit_length() > 1000:
-        return f"an integer of {value.bit_length()} bits"
-    return f"[{', '.join(map(_show, value))}]" if isinstance(value, tuple) else repr(value)
-
-
 # The check and its noun for each ExperimentConfig annotation; "X | None" also admits None.
 _TYPE_RULES = {
-    "int": (_is_int, "an integer"),
+    "int": (lambda value: isinstance(value, int) and not isinstance(value, bool), "an integer"),
     "float": (is_finite_number, "a finite number"),
     "str": (lambda value: isinstance(value, str), "a string"),
     "tuple[float, ...]": (
@@ -139,7 +126,7 @@ _TYPE_RULES = {
 
 # The least value of each key that has one.
 _AT_LEAST = {
-    "topology_seed": 0, "sim_base_seed": 0, "n_nodes": 2, "cluster_size_min": 2, "runs": 1,
+    "topology_seed": 0, "sim_base_seed": 0, "n_nodes": 2, "runs": 1,
     "max_iterations": 1, "eps_amp": 0, "e_elec": 0, "k_bits": 0,
 }
 

@@ -1,4 +1,4 @@
-"""Shared across the package: exception types, what counts as a number, and the JSON file reader."""
+"""Shared by the package: exception types, number checks, how values print, the JSON file reader."""
 
 import json
 import sys
@@ -23,6 +23,13 @@ def is_finite_number(value: object) -> bool:
     # abs() compares exactly, so an int too large for a float is rejected, not raised on.
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     return number and abs(value) <= sys.float_info.max
+
+
+def show(value: object) -> str:
+    """repr(value), except that an int of over 1000 bits, which str() may refuse, is sized."""
+    if isinstance(value, int) and value.bit_length() > 1000:
+        return f"an integer of {value.bit_length()} bits"
+    return f"[{', '.join(map(show, value))}]" if isinstance(value, tuple) else repr(value)
 
 
 def read_json_object(path: str | Path, kind: str) -> dict:

@@ -159,11 +159,13 @@ def relative_error(y: np.ndarray, y0: np.ndarray) -> float:
 def run_trial(
     scenario: SimulationScenario, initial: np.ndarray, rng: np.random.Generator
 ) -> SimulationTrace:
-    """Run one trial from the readings ``initial`` until the error threshold or the iteration cap.
+    """Run one trial from the n readings ``initial`` until the error threshold or the iteration cap.
 
     Slot energy is the activated candidate's total two-phase cost, taken from
     ``scenario.costs_l1``.
     """
+    if np.shape(initial) != (scenario.n,):
+        raise ValueError(f"initial: shape {np.shape(initial)}, expected ({scenario.n},)")
     y = initial
     errors: list[float] = []
     energies = [0.0]

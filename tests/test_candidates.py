@@ -77,6 +77,11 @@ def test_enumerate_rejects_bad_size_range(three_node_topology):
         enumerate_candidates(three_node_topology, 3, 2)
     with pytest.raises(ConfigurationError):
         enumerate_candidates(three_node_topology, 2, 4)
+    # A size with more digits than str() converts is shown by its bit count.
+    with pytest.raises(ConfigurationError, match="^cluster_size_max .*an integer of 16610 bits"):
+        enumerate_candidates(three_node_topology, 2, 10**5000)
+    with pytest.raises(ConfigurationError, match="^cluster_size_min .*an integer of 16610 bits"):
+        enumerate_candidates(three_node_topology, 10**5000, 3)
 
 
 @given(st.integers(2, 8), st.data())

@@ -132,6 +132,8 @@ def test_config_defaults():
         ({"max_iterations": 2**63}, "max_iterations"),
         ({"output_dir": "a\u0000b"}, "output_dir"),
         ({"output_dir": ""}, "output_dir"),
+        ({"cluster_size_max": 10**5000}, "cluster_size_max"),
+        ({"cluster_size_min": 10**5000}, "cluster_size_min"),
     ],
 )
 def test_config_rejections_name_the_key(overrides, key):
@@ -198,6 +200,15 @@ def test_config_and_topology_files_share_one_reader(tmp_path, text, message):
     for kind, load in (("config", load_config), ("topology", load_topology)):
         with pytest.raises(ConfigurationError, match=f"^{kind} file.*{message}"):
             load(path)
+
+
+def test_size_too_long_for_str_exits_1_naming_the_key(tmp_path, monkeypatch, capsys):
+    """JSON cannot carry such an integer, so the reader is replaced by one that returns it."""
+    monkeypatch.setattr(cli, "read_json_object", lambda path, kind: {"cluster_size_max": 10**5000})
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cluster_size_max ") and err.count("\n") == 1
 
 
 def test_validate_subcommand(tmp_path, capsys):
@@ -519,6 +530,34 @@ def test_topology_file_sizes_and_positions(tmp_path, capsys):
     message = capsys.readouterr().err
     assert "finite" in message
     assert main(["validate", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == message
+
+
+def test_topology_file_sizes_are_judged_against_its_node_count(tmp_path, capsys):
+    """With cluster_size_max unset, the sizes are judged against the file's 40 nodes,
+    not against n_nodes (30), by validate and run alike."""
+    topo_file = tmp_path / "forty.json"
+    positions = np.random.default_rng(0).uniform(0.0, 50.0, size=(40, 2))
+    topo_file.write_text(json.dumps({"positions": positions.tolist()}))
+
+    def config(size_min: int) -> Path:
+        return _write_config(
+            tmp_path, n_nodes=30, topology_file=str(topo_file), cluster_size_min=size_min,
+            cluster_size_max=None, alphas=[0.0], runs=5,
+        )
+
+    path = config(35)
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+    assert main(["run", "--config", str(path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary[0]["support"] and all(len(row["members"]) >= 35 for row in summary[0]["support"])
+    capsys.readouterr()
+
+    path = config(41)
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    message = capsys.readouterr().err
+    assert "cluster_size_min" in message and "30" not in message
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG_ERROR
     assert capsys.readouterr().err == message
 
 

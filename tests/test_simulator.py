@@ -125,6 +125,16 @@ def test_relative_error_rejects_zero_initial():
         relative_error(zero, zero)
 
 
+@pytest.mark.parametrize("readings", [4, 7])
+def test_run_trial_rejects_initial_not_one_reading_per_node(readings):
+    """Too many readings would never be averaged, too few would index past the end."""
+    chain = [ClusterCandidate(head=i, members=(i, i + 1)) for i in range(5)]
+    scenario = _scenario(chain, [1.0] * 5, [0.2] * 5, 1e-3, 200, n=6)
+    initial = np.arange(1.0, readings + 1.0)
+    with pytest.raises(ValueError, match=rf"^initial: shape \({readings},\), expected \(6,\)"):
+        run_trial(scenario, initial, np.random.default_rng(0))
+
+
 def test_run_trial_one_shot():
     initial = np.array([0.0, 10.0, 20.0])
     scenario = _scenario([FULL_3], [225.0], [1.0], 0.1, 50)
