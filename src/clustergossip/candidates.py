@@ -51,18 +51,19 @@ class ClusterCandidate:
         return len(self.members)
 
 
-def check_sizes(n: int, size_min: int, size_max: int) -> None:
-    """Reject cluster sizes below 2, above the n nodes the run uses, or an empty size range."""
+def check_sizes(n: int, size_min: int, size_max: int | None) -> None:
+    """Reject cluster sizes below 2, above the run's n nodes, or an empty range; None means n."""
     if size_min < 2:
         raise ConfigurationError(f"cluster_size_min must be >= 2, got {show(size_min)}")
-    if size_max > n:
+    limit = f"cluster_size_max {show(size_max)}"
+    if size_max is None:
+        size_max, limit = n, f"the number of nodes ({show(n)})"
+    elif size_max > n:
         raise ConfigurationError(
             f"cluster_size_max must be <= number of nodes ({show(n)}), got {show(size_max)}"
         )
     if size_min > size_max:
-        raise ConfigurationError(
-            f"cluster_size_min {show(size_min)} exceeds cluster_size_max {show(size_max)}"
-        )
+        raise ConfigurationError(f"cluster_size_min {show(size_min)} exceeds {limit}")
 
 
 def enumerate_candidates(

@@ -94,7 +94,7 @@ class ExperimentConfig:
         if not self.output_dir or "\0" in self.output_dir:
             fail("output_dir", f"must be a nonempty path with no NUL, got {self.output_dir!r}")
         if self.topology_file is None:  # a file's node count is known once it is loaded
-            check_sizes(self.n_nodes, self.cluster_size_min, self.size_max())
+            check_sizes(self.n_nodes, self.cluster_size_min, self.cluster_size_max)
         if len(self.alphas) == 0:
             fail("alphas", "must be a nonempty list")
         if any(a < 0 for a in self.alphas):
@@ -195,7 +195,7 @@ def _config_pool(
             topology = generate_topology(config.n_nodes, config.area_side, config.topology_seed)
         else:
             topology = load_topology(config.topology_file)
-        # enumerate_candidates rejects a cluster_size_max above the node count.
+        check_sizes(topology.n, config.cluster_size_min, config.cluster_size_max)
         pool = prepare_pool(topology, config.cluster_size_min, config.size_max(topology.n), params)
     if not np.all(np.isfinite(pool[1])):
         raise ConfigurationError(
@@ -285,7 +285,7 @@ def _cmd_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if config.topology_file is not None:  # loaded and size-checked as run does; no field is drawn
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing distances pass, like costs
             n = load_topology(config.topology_file).n
-        check_sizes(n, config.cluster_size_min, config.size_max(n))
+        check_sizes(n, config.cluster_size_min, config.cluster_size_max)
     print(f"config OK: {args.config} ({len(config.alphas)} alpha value(s))")
     return EXIT_OK
 

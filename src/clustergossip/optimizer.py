@@ -137,7 +137,7 @@ class ActivationDistribution:
 
 def _mixture(p: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """W(p) from the membership rows where p is nonzero; see the module docstring."""
-    support = np.flatnonzero(p)
+    support = p.nonzero()[0]
     rows, q = members[support], p[support]
     w = (rows.T * (q / sizes[support])) @ rows
     w.flat[:: w.shape[0] + 1] += q.sum() - q @ rows
@@ -173,7 +173,8 @@ def _checked_symmetric(matrix: np.ndarray) -> np.ndarray:
 
 def _residual(a: np.ndarray, top: float, vec: np.ndarray) -> tuple[float, float]:
     """``|a vec - top vec|`` and the tolerance it must meet, ``max(1e-9, 1e-12 * |top|)``."""
-    return float(np.linalg.norm(a @ vec - top * vec)), max(_RESIDUAL_TOL, 1e-12 * abs(top))
+    r = a @ vec - top * vec
+    return float(np.sqrt(r @ r)), max(_RESIDUAL_TOL, 1e-12 * abs(top))
 
 
 def symmetric_top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
@@ -209,7 +210,7 @@ def _deflated_top(
         try:
             for _ in range(_WARM_SOLVES):
                 start = np.linalg.solve(shifted, start)
-                norm = float(np.linalg.norm(start))
+                norm = float(np.sqrt(start @ start))
                 if not 0.0 < norm < np.inf:  # nothing to normalise: take the fallback
                     break
                 start = start / norm
@@ -264,14 +265,14 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("cannot project a vector with non-finite entries")
     u = np.sort(v)[::-1]
     # A sum or difference past the float range reads as +-inf: clipped to 0, or failing the sum.
     with np.errstate(over="ignore"):
         shifted = np.cumsum(u) - 1.0
         ks = np.arange(1, v.size + 1)
-        qualifying = np.nonzero(u - shifted / ks > 0)[0]
+        qualifying = (u - shifted / ks > 0).nonzero()[0]
         if qualifying.size:
             rho = qualifying[-1]
             projected = np.maximum(v - shifted[rho] / (rho + 1.0), 0.0)
@@ -364,7 +365,8 @@ def optimize(
                 if xi_val <= margin:
                     g = g + weighted_costs
                 point = evaluate(project_simplex(p - (scale / np.sqrt(t)) * g))
-                best = min(best, point, key=lambda record: record[0])
+                if point[0] < best[0]:
+                    best = point
                 iterations += 1
                 z_w += point[4]
                 z_j += point[5]

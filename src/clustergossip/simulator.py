@@ -34,6 +34,9 @@ __all__ = [
 # run's uniforms this many at a time.
 _CHUNK_RUNS = 250
 _BLOCK = 64
+# The widest pool whose clusters _run_chunk averages in one zero-padded pass: numpy sums fewer
+# than 8 terms left to right, so trailing zeros change no sum, but 8 or more pairwise.
+_PADDED_WIDTH = 7
 
 
 @dataclass(frozen=True)
@@ -197,13 +200,14 @@ def _run_chunk(
     run holds its final values; each run's iterations and final energy; and how
     many runs crossed the threshold.
     """
-    size_of, offset, flat, costs = tables
+    size_of, offset, flat, costs, padded = tables
     rngs = [np.random.default_rng(seed) for seed in seeds]
     low, high = scenario.init_low, scenario.init_high
     y = np.array([draw_initial_state(scenario.n, low, high, rng) for rng in rngs])
     # Batched, these round as relative_error's y0.mean(), y0 @ y0 and eps @ eps.
     mean0 = y.mean(axis=1)
     denom = np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
+    y = np.pad(y, [(0, 0), (0, 1)])  # column n is the padding column of ``padded``, kept at 0
     error = np.zeros(len(rngs))
     energy = np.zeros(len(rngs))
     stop = np.full(len(rngs), scenario.max_iters)
@@ -221,15 +225,20 @@ def _run_chunk(
                     rngs[r].random(out=block[r])
             drawn = np.searchsorted(cumulative, block[live, column], side="right")
             drawn = np.minimum(drawn, cumulative.size - 1)
-            # One gather, row mean and scatter per cluster size: the same pairwise
-            # sums as consensus_step's y[idx].mean(), which zero padding would change.
-            sizes = size_of[drawn]
-            for s in np.flatnonzero(np.bincount(sizes)).tolist():
-                pick = sizes == s
-                rows, cols = live[pick][:, None], flat[offset[drawn[pick], None] + np.arange(s)]
-                y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / s
+            if padded is not None:  # every size in one pass, rounded as below (_PADDED_WIDTH)
+                rows, cols = live[:, None], padded[drawn]
+                y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / size_of[drawn, None]
+                y[:, -1] = 0.0
+            else:
+                # One gather, row mean and scatter per cluster size: the same pairwise
+                # sums as consensus_step's y[idx].mean(), which zero padding would change.
+                sizes = size_of[drawn]
+                for s in np.flatnonzero(np.bincount(sizes)).tolist():
+                    pick = sizes == s
+                    rows, cols = live[pick][:, None], flat[offset[drawn[pick], None] + np.arange(s)]
+                    y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / s
             energy[live] += costs[drawn]
-        eps = y[live] - mean0[live, None]
+        eps = y[live, :-1] - mean0[live, None]
         error[live] = np.matmul(eps[:, None, :], eps[:, :, None])[:, 0, 0] / denom[live]
         sums.append((error.sum(), energy.sum()))
         crossed = error[live] < scenario.threshold
@@ -255,7 +264,11 @@ def monte_carlo(
     flat = np.array([j for cand in cands for j in cand.members], dtype=int)
     size_of = np.array([cand.size for cand in cands], dtype=int)
     cumulative = np.cumsum(scenario.p)
-    tables = (size_of, np.cumsum(size_of) - size_of, flat, scenario.costs_l1)
+    width, padded = size_of.max(), None
+    if width <= _PADDED_WIDTH:  # each row's members, then n, the state column that stays 0
+        padded = np.full((len(cands), width), scenario.n)
+        padded[np.arange(width) < size_of[:, None]] = flat
+    tables = (size_of, np.cumsum(size_of) - size_of, flat, scenario.costs_l1, padded)
     total, iterations, finals, terminated = np.zeros((2, 1)), [], [], 0
     for start in range(0, runs, _CHUNK_RUNS):
         seeds = range(base_seed + start, base_seed + min(start + _CHUNK_RUNS, runs))

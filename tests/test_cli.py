@@ -561,6 +561,29 @@ def test_topology_file_sizes_are_judged_against_its_node_count(tmp_path, capsys)
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize(
+    "config,nodes",
+    [({"cluster_size_min": 31}, 30), ({"topology_file": "forty.json", "cluster_size_min": 41}, 40)],
+    ids=["n_nodes", "topology_file"],
+)
+def test_size_min_above_the_node_count_names_the_node_count(tmp_path, capsys, config, nodes):
+    """With cluster_size_max unset, the message names the node count it stands for, not the key."""
+    positions = [[i % 8, i // 8] for i in range(40)]
+    (tmp_path / "forty.json").write_text(json.dumps({"positions": positions}))
+    config = {**config, "output_dir": str(tmp_path / "out")}
+    if "topology_file" in config:
+        config["topology_file"] = str(tmp_path / config["topology_file"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    expected = (
+        f"configuration error: cluster_size_min {config['cluster_size_min']} "
+        f"exceeds the number of nodes ({nodes})\n"
+    )
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == expected
+
+
 def test_summary_reports_terminated_runs(tmp_path):
     config = load_config(_write_config(tmp_path, alphas=[1e-4]))
     assert run_sweep(config) == EXIT_OK

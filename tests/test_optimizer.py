@@ -499,6 +499,22 @@ def test_lower_bound_never_exceeds_the_objective(seed, with_all_node, alpha):
     assert 0 <= r.iterations <= optimizer._MAX_ITERS
 
 
+@pytest.mark.parametrize("seed,alpha", [(0, 0.0), (2, 5.9e-4), (7, 1e-4)])
+def test_optimize_projects_once_per_step(monkeypatch, seed, alpha):
+    """perfbench's optimizer.iterations counts calls of optimizer.project_simplex, looked up on
+    the module, so optimize makes exactly one per step."""
+    project, calls = optimizer.project_simplex, []
+
+    def counted(v):
+        calls.append(v)
+        return project(v)
+
+    monkeypatch.setattr(optimizer, "project_simplex", counted)
+    cands, costs, n = _random_pool(seed, (3, 9), with_all_node=False)
+    r = optimize(cands, costs, n, OptimizerOptions(alpha=alpha))
+    assert r.iterations > 0 and len(calls) == r.iterations
+
+
 def test_lower_bound_never_exceeds_the_grid_minimum():
     """The bound holds on the whole simplex, margin or not, so it stays below
     the minimum over a 0.01 grid on criterion 3's kind of tiny instance."""

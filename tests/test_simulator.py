@@ -394,6 +394,42 @@ def test_monte_carlo_one_run_bit_identical_on_many_seeds():
             np.testing.assert_array_equal(avg.mean_energies, traces[0].energies)
 
 
+@pytest.mark.parametrize("width,padded", [(2, True), (3, True), (7, True), (8, False)])
+def test_monte_carlo_one_run_bit_identical_on_narrow_and_wide_pools(width, padded):
+    """A pool whose widest candidate has at most 7 members averages each slot in one padded
+    pass, a wider one once per cluster size; either way one run is run_trial's, bit for bit,
+    on n = 12, 30 and 300."""
+    rng = np.random.default_rng(width)
+    run_chunk, paths = simulator._run_chunk, []
+
+    def spy(scenario, seeds, cumulative, tables):
+        paths.append(tables[-1] is not None)
+        return run_chunk(scenario, seeds, cumulative, tables)
+
+    for n in (12, 30, 300):
+        sizes = [width, *rng.integers(2, width + 1, size=11).tolist()]
+        member_sets = [tuple(sorted(rng.choice(n, s, replace=False).tolist())) for s in sizes]
+        p = rng.random(len(sizes))
+        p[1::4] = 0.0
+        scenario = SimulationScenario(
+            candidates=tuple(ClusterCandidate(head=m[-1], members=m) for m in member_sets),
+            costs_l1=rng.uniform(1.0, 50.0, len(sizes)),
+            p=p / p.sum(),
+            n=n,
+            init_low=-5.0,
+            init_high=30.0,
+            threshold=1e-9,
+            max_iters=120,
+        )
+        for seed in range(40):
+            traces, _ = _reference_average(scenario, 1, seed)
+            with mock.patch.object(simulator, "_run_chunk", spy):
+                avg = monte_carlo(scenario, 1, seed)
+            assert avg.mean_errors.tobytes() == traces[0].errors.tobytes()
+            assert avg.mean_energies.tobytes() == traces[0].energies.tobytes()
+    assert paths == [padded] * 120
+
+
 def test_monte_carlo_matches_reference_across_chunks_and_edge_runs():
     """More runs than one chunk, not a multiple of it; runs that stop at slot
     0 (narrow initial range) next to runs that never stop (node 2 never mixes)."""
