@@ -99,6 +99,8 @@ class ExperimentConfig:
             fail("alphas", "must be a nonempty list")
         if any(a < 0 for a in self.alphas):
             fail("alphas", f"must all be >= 0, got {list(self.alphas)}")
+        if len(set(map(float, self.alphas))) < len(self.alphas):  # as floats: 0.0 == -0.0
+            fail("alphas", f"must not repeat a value, got {list(self.alphas)}")
         if not MIN_EPSILON <= self.epsilon < 1:
             fail("epsilon", f"must lie in [{MIN_EPSILON}, 1), got {self.epsilon}")
         if self.init_low > self.init_high:

@@ -192,22 +192,22 @@ def run_trial(
 
 
 def _run_chunk(
-    scenario: SimulationScenario, seeds: range, cumulative: np.ndarray, tables: tuple
+    scenario: SimulationScenario, seeds: range, cumulative: np.ndarray, members: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Advance one ``run_trial`` per seed together, slot by slot, on one state array.
 
-    Returns the (2, slots) per-slot sums of error and energy, in which a finished
-    run holds its final values; each run's iterations and final energy; and how
-    many runs crossed the threshold.
+    Row i of ``members`` holds candidate i's members, ascending, padded with n. Returns the
+    (2, slots) per-slot sums of error and energy, in which a finished run holds its final
+    values; each run's iterations and final energy; and how many runs crossed the threshold.
     """
-    size_of, offset, flat, costs, padded = tables
+    size_of = np.count_nonzero(members < scenario.n, axis=1)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     low, high = scenario.init_low, scenario.init_high
     y = np.array([draw_initial_state(scenario.n, low, high, rng) for rng in rngs])
     # Batched, these round as relative_error's y0.mean(), y0 @ y0 and eps @ eps.
     mean0 = y.mean(axis=1)
     denom = np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
-    y = np.pad(y, [(0, 0), (0, 1)])  # column n is the padding column of ``padded``, kept at 0
+    y = np.pad(y, [(0, 0), (0, 1)])  # column n, the padding of ``members``, kept at 0
     error = np.zeros(len(rngs))
     energy = np.zeros(len(rngs))
     stop = np.full(len(rngs), scenario.max_iters)
@@ -225,8 +225,8 @@ def _run_chunk(
                     rngs[r].random(out=block[r])
             drawn = np.searchsorted(cumulative, block[live, column], side="right")
             drawn = np.minimum(drawn, cumulative.size - 1)
-            if padded is not None:  # every size in one pass, rounded as below (_PADDED_WIDTH)
-                rows, cols = live[:, None], padded[drawn]
+            if members.shape[1] <= _PADDED_WIDTH:  # every size in one pass (_PADDED_WIDTH)
+                rows, cols = live[:, None], members[drawn]
                 y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / size_of[drawn, None]
                 y[:, -1] = 0.0
             else:
@@ -235,9 +235,9 @@ def _run_chunk(
                 sizes = size_of[drawn]
                 for s in np.flatnonzero(np.bincount(sizes)).tolist():
                     pick = sizes == s
-                    rows, cols = live[pick][:, None], flat[offset[drawn[pick], None] + np.arange(s)]
+                    rows, cols = live[pick][:, None], members[drawn[pick], :s]
                     y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / s
-            energy[live] += costs[drawn]
+            energy[live] += scenario.costs_l1[drawn]
         eps = y[live, :-1] - mean0[live, None]
         error[live] = np.matmul(eps[:, None, :], eps[:, :, None])[:, 0, 0] / denom[live]
         sums.append((error.sum(), energy.sum()))
@@ -253,26 +253,22 @@ def monte_carlo(
     """Average independent trials, run r seeded with base_seed + r.
 
     Each run draws its own initial state from its stream, then follows the path
-    ``run_trial`` gives it. Runs advance together in chunks of ``_CHUNK_RUNS``,
-    so memory is O(runs + chunk * n + slots). A finished run holds its final
-    error and energy, i.e. is right-extended as constants in the mean.
+    ``run_trial`` gives it. Runs advance together in chunks of ``_CHUNK_RUNS`` over one
+    (C, width) member table, width the widest candidate's size, so memory is
+    O(runs + chunk * n + slots + C * width). A finished run holds its final error and
+    energy, i.e. is right-extended as constants in the mean.
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
     cands = scenario.candidates
-    # flat[offset[i] : offset[i] + size_of[i]] holds candidate i's members, ascending.
-    flat = np.array([j for cand in cands for j in cand.members], dtype=int)
-    size_of = np.array([cand.size for cand in cands], dtype=int)
+    size_of = np.array([cand.size for cand in cands])
+    members = np.full((len(cands), size_of.max()), scenario.n)
+    members[np.arange(size_of.max()) < size_of[:, None]] = np.concatenate([c.members for c in cands])
     cumulative = np.cumsum(scenario.p)
-    width, padded = size_of.max(), None
-    if width <= _PADDED_WIDTH:  # each row's members, then n, the state column that stays 0
-        padded = np.full((len(cands), width), scenario.n)
-        padded[np.arange(width) < size_of[:, None]] = flat
-    tables = (size_of, np.cumsum(size_of) - size_of, flat, scenario.costs_l1, padded)
     total, iterations, finals, terminated = np.zeros((2, 1)), [], [], 0
     for start in range(0, runs, _CHUNK_RUNS):
         seeds = range(base_seed + start, base_seed + min(start + _CHUNK_RUNS, runs))
-        sums, stop, energy, crossed = _run_chunk(scenario, seeds, cumulative, tables)
+        sums, stop, energy, crossed = _run_chunk(scenario, seeds, cumulative, members)
         # Right-extend the shorter of the two by its last slot's sums, then add.
         width = max(total.shape[1], sums.shape[1])
         total = sum(np.pad(a, [(0, 0), (0, width - a.shape[1])], "edge") for a in (total, sums))

@@ -134,6 +134,7 @@ def test_config_defaults():
         ({"output_dir": ""}, "output_dir"),
         ({"cluster_size_max": 10**5000}, "cluster_size_max"),
         ({"cluster_size_min": 10**5000}, "cluster_size_min"),
+        ({"alphas": [1e-5, 0.00001, 0.0, -0.0]}, "alphas"),
     ],
 )
 def test_config_rejections_name_the_key(overrides, key):

@@ -394,19 +394,23 @@ def test_monte_carlo_one_run_bit_identical_on_many_seeds():
             np.testing.assert_array_equal(avg.mean_energies, traces[0].energies)
 
 
-@pytest.mark.parametrize("width,padded", [(2, True), (3, True), (7, True), (8, False)])
+@pytest.mark.parametrize(
+    "width,padded", [(2, True), (3, True), (7, True), (8, False), (29, False), (130, False)]
+)
 def test_monte_carlo_one_run_bit_identical_on_narrow_and_wide_pools(width, padded):
     """A pool whose widest candidate has at most 7 members averages each slot in one padded
     pass, a wider one once per cluster size; either way one run is run_trial's, bit for bit,
-    on n = 12, 30 and 300."""
+    on each of n = 12, 30 and 300 that exceeds the width. 130 members pass numpy's 128-term
+    pairwise block."""
     rng = np.random.default_rng(width)
     run_chunk, paths = simulator._run_chunk, []
 
-    def spy(scenario, seeds, cumulative, tables):
-        paths.append(tables[-1] is not None)
-        return run_chunk(scenario, seeds, cumulative, tables)
+    def spy(scenario, seeds, cumulative, members):
+        paths.append(members.shape[1] <= simulator._PADDED_WIDTH)
+        return run_chunk(scenario, seeds, cumulative, members)
 
-    for n in (12, 30, 300):
+    ns = [n for n in (12, 30, 300) if n > width]
+    for n in ns:
         sizes = [width, *rng.integers(2, width + 1, size=11).tolist()]
         member_sets = [tuple(sorted(rng.choice(n, s, replace=False).tolist())) for s in sizes]
         p = rng.random(len(sizes))
@@ -427,7 +431,7 @@ def test_monte_carlo_one_run_bit_identical_on_narrow_and_wide_pools(width, padde
                 avg = monte_carlo(scenario, 1, seed)
             assert avg.mean_errors.tobytes() == traces[0].errors.tobytes()
             assert avg.mean_energies.tobytes() == traces[0].energies.tobytes()
-    assert paths == [padded] * 120
+    assert paths == [padded] * (40 * len(ns))
 
 
 def test_monte_carlo_matches_reference_across_chunks_and_edge_runs():
