@@ -51,8 +51,8 @@ class ClusterCandidate:
         return len(self.members)
 
 
-def check_sizes(n: int, size_min: int, size_max: int | None) -> None:
-    """Reject cluster sizes below 2, above the run's n nodes, or an empty range; None means n."""
+def check_sizes(n: int, size_min: int, size_max: int | None) -> int:
+    """Reject sizes below 2, above n, or an empty range; return the largest size (n if None)."""
     if size_min < 2:
         raise ConfigurationError(f"cluster_size_min must be >= 2, got {show(size_min)}")
     limit = f"cluster_size_max {show(size_max)}"
@@ -64,10 +64,11 @@ def check_sizes(n: int, size_min: int, size_max: int | None) -> None:
         )
     if size_min > size_max:
         raise ConfigurationError(f"cluster_size_min {show(size_min)} exceeds {limit}")
+    return size_max
 
 
 def enumerate_candidates(
-    topology: Topology, size_min: int, size_max: int
+    topology: Topology, size_min: int, size_max: int | None
 ) -> list[ClusterCandidate]:
     """Emit one candidate per (head, size) pair over the given size range.
 
@@ -78,14 +79,14 @@ def enumerate_candidates(
     Args:
         topology: node layout.
         size_min: smallest cluster size, >= 2.
-        size_max: largest cluster size, <= n.
+        size_max: largest cluster size, <= n; None means n.
 
     Returns:
         Candidates ordered by (head, size). Identical member sets reached
         from different heads are all kept; prune_dominated resolves them.
     """
     n = topology.n
-    check_sizes(n, size_min, size_max)
+    size_max = check_sizes(n, size_min, size_max)
     out: list[ClusterCandidate] = []
     for head in range(n):
         # Stable neighbor order: by squared distance, then node index.

@@ -108,11 +108,9 @@ class ExperimentConfig:
         if self.init_low == self.init_high == 0:
             fail("init_high", "must differ from 0 when init_low is 0 (all-zero start)")
 
-    def size_max(self, n_nodes: int | None = None) -> int:
-        """Largest cluster size; unset means all ``n_nodes`` (default: the config's)."""
-        if self.cluster_size_max is not None:
-            return self.cluster_size_max
-        return self.n_nodes if n_nodes is None else n_nodes
+    def size_max(self) -> int:
+        """Largest cluster size of a drawn field, as ``check_sizes`` resolves it for ``n_nodes``."""
+        return check_sizes(self.n_nodes, self.cluster_size_min, self.cluster_size_max)
 
 
 # The check and its noun for each ExperimentConfig annotation; "X | None" also admits None.
@@ -168,9 +166,9 @@ def write_summary_json(results: list[dict[str, Any]], path: Path) -> None:
 
 
 def prepare_pool(
-    topology: Topology, size_min: int, size_max: int, params: EnergyParams
+    topology: Topology, size_min: int, size_max: int | None, params: EnergyParams
 ) -> tuple[list[ClusterCandidate], np.ndarray, np.ndarray]:
-    """Enumerate the candidates, price each once, and prune dominated twins.
+    """Enumerate the candidates (``size_max`` None: all nodes), price each once, prune twins.
 
     Returns ``(enumerated, costs, kept_indices)``: ``costs[i]`` is the total
     activation energy of ``enumerated[i]``, and ``kept_indices`` lists the
@@ -197,8 +195,7 @@ def _config_pool(
             topology = generate_topology(config.n_nodes, config.area_side, config.topology_seed)
         else:
             topology = load_topology(config.topology_file)
-        check_sizes(topology.n, config.cluster_size_min, config.cluster_size_max)
-        pool = prepare_pool(topology, config.cluster_size_min, config.size_max(topology.n), params)
+        pool = prepare_pool(topology, config.cluster_size_min, config.cluster_size_max, params)
     if not np.all(np.isfinite(pool[1])):
         raise ConfigurationError(
             "candidate costs overflow: shrink area_side, the topology positions, "

@@ -112,7 +112,7 @@ class OptimizerOptions:
             raise ValueError(f"epsilon must lie in [{MIN_EPSILON}, 1), got {self.epsilon}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class ActivationDistribution:
     """Optimization outcome.
 

@@ -39,7 +39,7 @@ _BLOCK = 64
 _PADDED_WIDTH = 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class SimulationTrace:
     """One trial's history.
 
@@ -56,7 +56,7 @@ class SimulationTrace:
     terminated_at: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class SimulationScenario:
     """Everything a trial needs besides its random stream, checked when built.
 
@@ -85,7 +85,7 @@ class SimulationScenario:
         membership(self.candidates, self.n)  # only for its member-range check
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class AveragedTrace:
     """Pointwise means across trials.
 

@@ -36,7 +36,7 @@ def squared_distance_matrix(positions: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class Topology:
     """Immutable node layout and the squared-distance matrix derived from it.
 

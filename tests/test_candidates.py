@@ -20,6 +20,7 @@ from clustergossip import (
     run_trial,
     xi,
 )
+from clustergossip.candidates import check_sizes
 from clustergossip.energy import cost_rows
 from clustergossip.optimizer import OptimizerOptions
 
@@ -71,6 +72,11 @@ def test_equidistant_neighbours_take_lower_index(collinear_topology):
 
 
 def test_enumerate_rejects_bad_size_range(three_node_topology):
+    # A valid range passes and yields its largest size; an unset one spans all n nodes.
+    assert check_sizes(3, 2, None) == 3 and check_sizes(3, 2, 2) == 2
+    assert enumerate_candidates(three_node_topology, 2, None) == enumerate_candidates(
+        three_node_topology, 2, 3
+    )
     with pytest.raises(ConfigurationError):
         enumerate_candidates(three_node_topology, 1, 3)
     with pytest.raises(ConfigurationError):

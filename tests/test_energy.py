@@ -189,18 +189,27 @@ def test_larger_cluster_never_cheaper():
     st.floats(0.0, 5.0),
     st.floats(0.0, 5.0),
     st.sampled_from([1, 7, cli._PRICE_BLOCK]),
+    st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_prepare_pool_matches_scalar_oracles(seed, n, default, eps_amp, e_elec, k_bits, block):
+def test_prepare_pool_matches_scalar_oracles(
+    seed, n, default, eps_amp, e_elec, k_bits, block, unset
+):
     """Vectorized pricing equals candidate_cost_l1, and the kept set equals
-    prune_dominated over the scalar costs, whatever the pricing block width."""
+    prune_dominated over the scalar costs, whatever the pricing block width.
+    An unset size_max gives the same pool as size_max = n."""
     rng = np.random.default_rng(seed)
     topo = generate_topology(n, float(rng.uniform(1.0, 100.0)), seed)
     params = EnergyParams() if default else EnergyParams(eps_amp, e_elec, k_bits)
     size_min = int(rng.integers(2, n + 1))
-    size_max = int(rng.integers(size_min, n + 1))
+    size_max = None if unset else int(rng.integers(size_min, n + 1))
     with mock.patch.object(cli, "_PRICE_BLOCK", block):
         enumerated, costs, kept = prepare_pool(topo, size_min, size_max, params)
+        if unset:
+            full = prepare_pool(topo, size_min, n, params)
+            assert enumerated == full[0]
+            np.testing.assert_array_equal(costs, full[1])
+            np.testing.assert_array_equal(kept, full[2])
     scalar = np.array([candidate_cost_l1(c, topo, params) for c in enumerated])
     if default:
         np.testing.assert_array_equal(costs, scalar)

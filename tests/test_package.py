@@ -3,8 +3,19 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import clustergossip
 from clustergossip import candidates, energy, errors, optimizer, simulator, topology
+from clustergossip import (
+    ActivationDistribution,
+    AveragedTrace,
+    ClusterCandidate,
+    SimulationScenario,
+    SimulationTrace,
+    Topology,
+)
 
 MODULES = (candidates, energy, errors, optimizer, simulator, topology)
 
@@ -45,3 +56,36 @@ def test_benchmark_imports_from_the_package_resolve():
     ]
     assert imported
     assert [name for name in imported if not hasattr(clustergossip, name)] == []
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Topology(np.array([[0.0, 0.0], [3.0, 4.0]])),
+        lambda: ActivationDistribution(
+            p=np.array([0.5, 0.5]), xi=0.5, expected_cost_l1=1.0, objective=0.5,
+            feasible=True, lower_bound=0.5, gap=0.0, iterations=1,
+        ),
+        lambda: SimulationScenario(
+            candidates=(ClusterCandidate(0, (0, 1)), ClusterCandidate(1, (0, 1))),
+            costs_l1=[1.0, 2.0], p=[0.5, 0.5], n=2, init_low=0.0, init_high=1.0,
+            threshold=0.1, max_iters=5,
+        ),
+        lambda: SimulationTrace(
+            errors=np.array([1.0, 0.0]), energies=np.array([0.0, 1.0]),
+            activations=np.array([0]), terminated_at=1,
+        ),
+        lambda: AveragedTrace(
+            mean_errors=np.array([1.0, 0.0]), mean_energies=np.array([0.0, 1.0]), runs=1,
+            terminated_runs=1, mean_iterations_to_threshold=1.0, mean_energy_at_threshold=1.0,
+        ),
+    ],
+    ids=["Topology", "ActivationDistribution", "SimulationScenario", "SimulationTrace",
+         "AveragedTrace"],
+)
+def test_array_holding_types_compare_by_identity_and_hash(make):
+    """A type that holds arrays is equal only to itself, never raises on ==, and can key a set."""
+    first, second = make(), make()
+    assert first == first
+    assert not first == second and first != second
+    assert len({first, second, first}) == 2 and hash(first) == hash(first)
