@@ -34,7 +34,7 @@ __all__ = [
 # run's uniforms this many at a time.
 _CHUNK_RUNS = 250
 _BLOCK = 64
-# The widest pool whose clusters _run_chunk averages in one zero-padded pass: numpy sums fewer
+# The widest pool whose clusters _run_chunk averages as one zero-padded row group: numpy sums fewer
 # than 8 terms left to right, so trailing zeros change no sum, but 8 or more pairwise.
 _PADDED_WIDTH = 7
 
@@ -225,18 +225,16 @@ def _run_chunk(
                     rngs[r].random(out=block[r])
             drawn = np.searchsorted(cumulative, block[live, column], side="right")
             drawn = np.minimum(drawn, cumulative.size - 1)
-            if members.shape[1] <= _PADDED_WIDTH:  # every size in one pass (_PADDED_WIDTH)
-                rows, cols = live[:, None], members[drawn]
-                y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / size_of[drawn, None]
-                y[:, -1] = 0.0
+            sizes = size_of[drawn]
+            # Row groups: a narrow pool's live runs at full width, else each size s at width s.
+            if members.shape[1] <= _PADDED_WIDTH:
+                groups = [(slice(None), members.shape[1])]
             else:
-                # One gather, row mean and scatter per cluster size: the same pairwise
-                # sums as consensus_step's y[idx].mean(), which zero padding would change.
-                sizes = size_of[drawn]
-                for s in np.flatnonzero(np.bincount(sizes)).tolist():
-                    pick = sizes == s
-                    rows, cols = live[pick][:, None], members[drawn[pick], :s]
-                    y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / s
+                groups = [(sizes == s, s) for s in np.flatnonzero(np.bincount(sizes)).tolist()]
+            for pick, width in groups:
+                rows, cols = live[pick][:, None], members[drawn[pick], :width]
+                y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / sizes[pick, None]
+            y[:, -1] = 0.0
             energy[live] += scenario.costs_l1[drawn]
         eps = y[live, :-1] - mean0[live, None]
         error[live] = np.matmul(eps[:, None, :], eps[:, :, None])[:, 0, 0] / denom[live]
@@ -286,20 +284,16 @@ def monte_carlo(
 
 
 def mse_bound_check(
-    averaged_trace: AveragedTrace,
-    xi_value: float,
-    initial_error: float,
-    slack: float = 0.10,
+    averaged_trace: AveragedTrace, xi_value: float, initial_error: float
 ) -> bool:
     """Check the geometric error bound against an averaged trace.
 
     True iff the mean error at every recorded slot t stays below
-    ``xi_value**t * initial_error * (1 + slack)``. initial_error must be in
+    ``xi_value**t * initial_error * 1.1``. The bound holds for the expected error; the 10%
+    allows for the sampling error of a mean over finitely many runs. initial_error must be in
     the same units as the trace (relative error).
     """
     if not 0.0 <= xi_value < 1.0:
         raise ValueError(f"xi_value must lie in [0, 1), got {xi_value}")
-    bounds = initial_error * (1.0 + slack) * xi_value ** np.arange(
-        averaged_trace.mean_errors.size
-    )
+    bounds = initial_error * 1.1 * xi_value ** np.arange(averaged_trace.mean_errors.size)
     return bool(np.all(averaged_trace.mean_errors <= bounds))

@@ -260,7 +260,7 @@ def test_criterion_06_geometric_error_bound(collinear_topology):
     )
     averaged = monte_carlo(scenario, 10000, SIM_SEED)
     assert averaged.mean_errors.size == 31
-    assert mse_bound_check(averaged, xi_val, float(averaged.mean_errors[0]), slack=0.10)
+    assert mse_bound_check(averaged, xi_val, float(averaged.mean_errors[0]))
 
 
 def test_criterion_07_energy_iteration_tradeoff(small_sweep, large_sweep):

@@ -395,13 +395,24 @@ def test_monte_carlo_one_run_bit_identical_on_many_seeds():
 
 
 @pytest.mark.parametrize(
-    "width,padded", [(2, True), (3, True), (7, True), (8, False), (29, False), (130, False)]
+    "width,padded,widest_drawn",
+    [
+        pytest.param(2, True, True, id="2-True"),
+        pytest.param(3, True, True, id="3-True"),
+        pytest.param(7, True, True, id="7-True"),
+        pytest.param(8, False, True, id="8-False"),
+        pytest.param(29, False, True, id="29-False"),
+        pytest.param(130, False, True, id="130-False"),
+        pytest.param(8, False, False, id="8-False-widest-undrawn"),
+        pytest.param(29, False, False, id="29-False-widest-undrawn"),
+    ],
 )
-def test_monte_carlo_one_run_bit_identical_on_narrow_and_wide_pools(width, padded):
-    """A pool whose widest candidate has at most 7 members averages each slot in one padded
-    pass, a wider one once per cluster size; either way one run is run_trial's, bit for bit,
-    on each of n = 12, 30 and 300 that exceeds the width. 130 members pass numpy's 128-term
-    pairwise block."""
+def test_monte_carlo_one_run_bit_identical_on_narrow_and_wide_pools(width, padded, widest_drawn):
+    """A pool whose widest candidate has at most 7 members averages each slot as one padded
+    row group, a wider one as one group per cluster size; either way one run is run_trial's,
+    bit for bit, on each of n = 12, 30 and 300 that exceeds the width. 130 members pass
+    numpy's 128-term pairwise block. The grouping follows the table's width, not the draws:
+    with the widest candidate at probability 0, every draw is narrower than the table."""
     rng = np.random.default_rng(width)
     run_chunk, paths = simulator._run_chunk, []
 
@@ -411,10 +422,11 @@ def test_monte_carlo_one_run_bit_identical_on_narrow_and_wide_pools(width, padde
 
     ns = [n for n in (12, 30, 300) if n > width]
     for n in ns:
-        sizes = [width, *rng.integers(2, width + 1, size=11).tolist()]
+        sizes = [width, *rng.integers(2, width + widest_drawn, size=11).tolist()]
         member_sets = [tuple(sorted(rng.choice(n, s, replace=False).tolist())) for s in sizes]
         p = rng.random(len(sizes))
         p[1::4] = 0.0
+        p[0] *= widest_drawn  # at 0, every draw is narrower than the table
         scenario = SimulationScenario(
             candidates=tuple(ClusterCandidate(head=m[-1], members=m) for m in member_sets),
             costs_l1=rng.uniform(1.0, 50.0, len(sizes)),
