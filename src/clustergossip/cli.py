@@ -110,6 +110,8 @@ class ExperimentConfig:
 
     def size_max(self) -> int:
         """Largest cluster size of a drawn field, as ``check_sizes`` resolves it for ``n_nodes``."""
+        if self.topology_file is not None:  # the file's node count, not n_nodes, judges the sizes
+            raise ConfigurationError("topology_file is set: call check_sizes(topology.n, ...)")
         return check_sizes(self.n_nodes, self.cluster_size_min, self.cluster_size_max)
 
 

@@ -25,16 +25,14 @@ s as ``(sum p) I - diag(M'p) + M' diag(p/s) M``, also off the simplex, from
 the rows of M where p is nonzero only: an iterate's support is typically
 well under half the pool.
 
-Eigensolves: every one goes through ``_deflated_top``, which checks W - J
-(square, finite, symmetric) first. ``symmetric_top_eigenpair`` is the full
-dense decomposition. Inside ``optimize``, every evaluation after the first
-passes the previous evaluation's eigenvector as a start: lambda then comes
-from ``eigvalsh`` (the full spectrum, so lambda is certified to be the top
-eigenvalue) and the eigenvector from one or two solves of
-``(W - J - (lambda + 1e-11) I) x = v_prev``, inverse iteration. The pair is
-accepted only if it passes the same residual check as
-``symmetric_top_eigenpair``; without a start, or when the residual fails or
-the solve finds the matrix singular, ``symmetric_top_eigenpair`` decides.
+Eigensolves: every one is ``symmetric_top_eigenpair`` of W - J, which
+checks the matrix once (square, finite, symmetric). Inside ``optimize``,
+every evaluation after the first passes the previous evaluation's
+eigenvector as a start: lambda then comes from ``eigvalsh`` (the full
+spectrum, so lambda is certified to be the top eigenvalue) and the
+eigenvector from one or two solves of ``(W - J - (lambda + 1e-11) I) x =
+v_prev``, inverse iteration, each accepted on the residual check; without
+a start, or when no solve passes, the full dense decomposition decides.
 
 Certified stop (weak duality, Boyd & Vandenberghe, Convex Optimization,
 ch. 5): for any PSD Z with trace 1, ``lambda_max(W(p) - J) >= <Z, W(p) - J>``,
@@ -159,8 +157,18 @@ def mixing_matrix(
     return _mixture(p, members, members.sum(axis=1))
 
 
-def _checked_symmetric(matrix: np.ndarray) -> np.ndarray:
-    """The matrix as floats; ValueError unless it is square, finite and symmetric to 1e-9."""
+def symmetric_top_eigenpair(
+    matrix: np.ndarray, start: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and a unit eigenvector of a symmetric matrix.
+
+    Raises ValueError when the input is not square, has a non-finite entry or is asymmetric beyond
+    1e-9. A pair is accepted only at a residual of at most max(1e-9, 1e-12 * |top|). With
+    ``start``, the eigenvalue comes from ``eigvalsh`` and the eigenvector from at most two solves
+    of ``(matrix - (top + 1e-11) I) x = start``, inverse iteration. Without it, or when no solve
+    is accepted, the pair comes from the full dense decomposition, and a failed residual there
+    raises NumericalError.
+    """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -168,27 +176,27 @@ def _checked_symmetric(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     if np.abs(a - a.T).max() > _ASYMMETRY_TOL:
         raise ValueError("matrix is not symmetric")
-    return a
-
-
-def _residual(a: np.ndarray, top: float, vec: np.ndarray) -> tuple[float, float]:
-    """``|a vec - top vec|`` and the tolerance it must meet, ``max(1e-9, 1e-12 * |top|)``."""
-    r = a @ vec - top * vec
-    return float(np.sqrt(r @ r)), max(_RESIDUAL_TOL, 1e-12 * abs(top))
-
-
-def symmetric_top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector of a symmetric matrix.
-
-    Full dense decomposition. Raises ValueError when the input is not square,
-    has a non-finite entry or is asymmetric beyond 1e-9, and NumericalError on
-    a residual above max(1e-9, 1e-12 * |top|).
-    """
-    a = _checked_symmetric(matrix)
+    if start is not None:
+        top = float(np.linalg.eigvalsh(a)[-1])
+        shifted = a.copy()
+        shifted.flat[:: a.shape[0] + 1] -= top + _WARM_SHIFT
+        for _ in range(_WARM_SOLVES):
+            try:
+                start = np.linalg.solve(shifted, start)
+            except np.linalg.LinAlgError:  # singular: take the decomposition
+                break
+            norm = float(np.sqrt(start @ start))
+            if not 0.0 < norm < np.inf:  # nothing to normalise: take the decomposition
+                break
+            start = start / norm
+            r = a @ start - top * start
+            if np.sqrt(r @ r) <= max(_RESIDUAL_TOL, 1e-12 * abs(top)):
+                return top, start
     eigenvalues, eigenvectors = np.linalg.eigh(a)
     top = float(eigenvalues[-1])
     vec = eigenvectors[:, -1]
-    residual, tolerance = _residual(a, top, vec)
+    r = a @ vec - top * vec
+    residual, tolerance = float(np.sqrt(r @ r)), max(_RESIDUAL_TOL, 1e-12 * abs(top))
     if not residual <= tolerance:  # a NaN residual fails too
         raise NumericalError(f"eigenpair residual {residual} exceeds tolerance {tolerance:g}")
     return top, vec
@@ -197,29 +205,8 @@ def symmetric_top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 def _deflated_top(
     w: np.ndarray, n: int, start: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
-    """Top eigenvalue of W - J clipped to [0, 1] (xi), and its unit eigenvector.
-
-    With ``start``, by inverse iteration from it (see the module docstring); without it, or when
-    that fails, by ``symmetric_top_eigenpair``.
-    """
-    a = _checked_symmetric(w - 1.0 / n)
-    if start is not None:
-        top = float(np.linalg.eigvalsh(a)[-1])
-        shifted = a.copy()
-        shifted.flat[:: a.shape[0] + 1] -= top + _WARM_SHIFT
-        try:
-            for _ in range(_WARM_SOLVES):
-                start = np.linalg.solve(shifted, start)
-                norm = float(np.sqrt(start @ start))
-                if not 0.0 < norm < np.inf:  # nothing to normalise: take the fallback
-                    break
-                start = start / norm
-                residual, tolerance = _residual(a, top, start)
-                if residual <= tolerance:
-                    return min(max(top, 0.0), 1.0), start
-        except np.linalg.LinAlgError:
-            pass
-    top, v = symmetric_top_eigenpair(a)
+    """Top eigenvalue of W - J clipped to [0, 1] (xi), and its unit eigenvector."""
+    top, v = symmetric_top_eigenpair(w - 1.0 / n, start)
     return min(max(top, 0.0), 1.0), v
 
 

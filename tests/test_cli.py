@@ -85,6 +85,15 @@ def test_config_defaults():
     assert config.size_max() == 30  # unset cluster_size_max spans all nodes
 
 
+@pytest.mark.parametrize("size_max", [None, 35], ids=["unset", "above_n_nodes"])
+def test_size_max_refuses_a_topology_file(size_max):
+    """A topology_file's node count, not n_nodes (30), bounds the sizes, so size_max() cannot
+    answer: unset it would read 30, and 35 would be refused against 30 nodes."""
+    config = ExperimentConfig(topology_file="forty.json", cluster_size_max=size_max)
+    with pytest.raises(ConfigurationError, match=r"topology_file .*check_sizes\(topology\.n"):
+        config.size_max()
+
+
 @pytest.mark.parametrize(
     "overrides,key",
     [

@@ -165,8 +165,10 @@ def test_top_eigenpair_residual_and_rayleigh():
 
 
 def test_top_eigenpair_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        symmetric_top_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    """Without a start and with one (the warm-started path)."""
+    for start in (None, np.ones(2)):
+        with pytest.raises(ValueError, match="not symmetric"):
+            symmetric_top_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]), start)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -175,16 +177,17 @@ def test_top_eigenpair_rejects_non_finite_entries(bad):
     the full decomposition and the warm-started path."""
     a = np.eye(3)
     a[0, 1] = a[1, 0] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        symmetric_top_eigenpair(a)
-    with pytest.raises(ValueError, match="non-finite"):
-        optimizer._deflated_top(a, 3, np.ones(3))
+    for start in (None, np.ones(3)):
+        with pytest.raises(ValueError, match="non-finite"):
+            symmetric_top_eigenpair(a, start)
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3,)])
 def test_top_eigenpair_rejects_a_non_square_matrix(shape):
-    with pytest.raises(ValueError, match="square"):
-        symmetric_top_eigenpair(np.ones(shape))
+    """Without a start and with one (the warm-started path)."""
+    for start in (None, np.ones(shape[0])):
+        with pytest.raises(ValueError, match="square"):
+            symmetric_top_eigenpair(np.ones(shape), start)
 
 
 def test_xi_and_subgradient_reject_a_nan_probability():
@@ -589,9 +592,9 @@ def test_warm_eigenpair_matches_eigh(seed, case):
 
     fallbacks = []
     with pytest.MonkeyPatch.context() as patch:
-        full = optimizer.symmetric_top_eigenpair
-        patch.setattr(optimizer, "symmetric_top_eigenpair", lambda m: fallbacks.append(m) or full(m))
-        top, v = optimizer._deflated_top(a + 1.0 / n, n, start)
+        eigh = np.linalg.eigh
+        patch.setattr(np.linalg, "eigh", lambda m: fallbacks.append(m) or eigh(m))
+        top, v = symmetric_top_eigenpair(a, start)
     assert abs(top - values[-1]) <= 1e-12
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(a @ v - top * v) <= 1e-9
