@@ -91,6 +91,8 @@ class ExperimentConfig:
                 fail(key, f"must be positive, got {show(getattr(self, key))}")
         if self.max_iterations >= 2**63:  # monte_carlo keeps slot counts as int64
             fail("max_iterations", f"must be < 2**63, got {show(self.max_iterations)}")
+        if self.n_nodes > 2**29:  # numpy refuses arrays of 2**63 bytes; d_sq's temporary is 16 n^2
+            fail("n_nodes", f"must be <= 2**29, got {show(self.n_nodes)}")
         if not self.output_dir or "\0" in self.output_dir:
             fail("output_dir", f"must be a nonempty path with no NUL, got {self.output_dir!r}")
         if self.topology_file is None:  # a file's node count is known once it is loaded

@@ -80,8 +80,7 @@ _STEP_PHASES = (1.0, 0.1, 0.01)
 _STALL_WINDOW = 500
 _STALL_TOL = 1e-6
 _SUPPORT_FLOOR = 1e-6
-# The solve stops once the best point's objective is within this much (times max(1, |obj|)) of
-# the dual lower bound.
+# Certified stop: the best objective within this much (times max(1, |obj|)) of the dual bound.
 _GAP_TOL = 1e-9
 # How far from 1 the sum of a projected vector may drift before float precision has lost it.
 _SIMPLEX_TOL = 1e-6
@@ -314,7 +313,7 @@ def optimize(
     margin = 1.0 - options.epsilon
 
     # A point's record is (key, p, xi, cost, g, j), keyed (0, obj) once p meets the margin and
-    # (1, xi) before, so any margin-meeting point wins and the best key's sum never rises.
+    # (1, xi) before, so any margin-meeting point wins and the best key's flag + value never rises.
     # g_i = v' W_i v and j = v' J v, for v the unit top eigenvector of W(p) - J. Every
     # evaluation after the first warm-starts its eigensolve at the previous one's v.
     previous_v = None
@@ -360,10 +359,12 @@ def optimize(
             if t % _STALL_WINDOW == 0:
                 seen = iterations + 1
                 lower = max(lower, float(np.min(z_w / seen + weighted_costs)) - z_j / seen)
-                if _gap_closed(best[0], lower) or (t > 0 and anchor - sum(best[0]) < _STALL_TOL):
+                infeasible, value = best[0]
+                certified = not infeasible and value - lower <= _GAP_TOL * max(1.0, abs(value))
+                if certified or (t > 0 and anchor - (infeasible + value) < _STALL_TOL):
                     break
-                anchor = sum(best[0])
-        if _gap_closed(best[0], lower):
+                anchor = infeasible + value
+        if certified:
             break
         point = best  # the next phase restarts its step schedule from the best point
 
@@ -391,8 +392,3 @@ def optimize(
         gap=objective - lower if feasible else None,
         iterations=iterations,
     )
-
-
-def _gap_closed(key: tuple[int, float], lower: float) -> bool:
-    """Whether a best point keyed as in ``optimize`` meets the margin and closes the gap."""
-    return key[0] == 0 and key[1] - lower <= _GAP_TOL * max(1.0, abs(key[1]))

@@ -144,6 +144,8 @@ def test_size_max_refuses_a_topology_file(size_max):
         ({"cluster_size_max": 10**5000}, "cluster_size_max"),
         ({"cluster_size_min": 10**5000}, "cluster_size_min"),
         ({"alphas": [1e-5, 0.00001, 0.0, -0.0]}, "alphas"),
+        ({"n_nodes": 2**64}, "n_nodes"),
+        ({"n_nodes": 2**29 + 1}, "n_nodes"),
     ],
 )
 def test_config_rejections_name_the_key(overrides, key):

@@ -478,6 +478,27 @@ def test_support_floor_never_breaks_the_margin(monkeypatch):
     assert r.objective == pytest.approx(r.xi + 1e-3 * 1e6 * r.p[1], rel=1e-12)
 
 
+def test_support_floor_that_zeroes_every_entry_keeps_the_largest(monkeypatch):
+    """A floor of 1.0 zeroes the whole best point, so the vertex of its largest entry is tried.
+    At margin 0.4 the best point is ~(0.4, 0.6) and that vertex is the all-node cluster (xi = 0),
+    which is returned; at margin 0.99 it is ~(0.99, 0.01) and the vertex is the pair (xi = 1),
+    so the unfloored best point is returned."""
+    pool, costs = [PAIR_01, FULL_3], [0.0, 1e6]
+    wide, narrow = OptimizerOptions(alpha=1e-3, epsilon=0.6), OptimizerOptions(alpha=1e-3)
+    unfloored_wide = optimize(pool, costs, 3, wide)
+    unfloored_narrow = optimize(pool, costs, 3, narrow)
+    assert 0.5 < unfloored_wide.p[1] < 0.7  # so the vertex below is not the best point
+    monkeypatch.setattr(optimizer, "_SUPPORT_FLOOR", 1.0)
+
+    r = optimize(pool, costs, 3, wide)
+    assert r.feasible and r.p.tolist() == [0.0, 1.0] and r.xi == 0.0 and r.objective == 1e3
+
+    r = optimize(pool, costs, 3, narrow)
+    assert r.feasible and r.xi <= 0.99 and 0.0 < r.p[1] < 0.5
+    assert r.p.tolist() == unfloored_narrow.p.tolist()
+    assert r.objective == unfloored_narrow.objective
+
+
 def _random_pool(seed, n_range, with_all_node):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(*n_range))
