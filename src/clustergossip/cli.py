@@ -19,7 +19,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .candidates import ClusterCandidate, check_sizes, enumerate_candidates, prune_dominated
-from .energy import EnergyParams, cost_rows
+from .energy import EnergyParams, candidate_costs
 from .errors import ConfigurationError, NumericalError, is_finite_number, read_json_object, show
 from .optimizer import MIN_EPSILON, OptimizerOptions, optimize
 from .simulator import AveragedTrace, SimulationScenario, monte_carlo
@@ -42,8 +42,6 @@ EXIT_INFEASIBLE = 2
 EXIT_IO_ERROR = 3
 EXIT_NUMERICAL_ERROR = 4
 EXIT_INTERNAL_ERROR = 5
-
-_PRICE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -179,11 +177,7 @@ def prepare_pool(
     survivors of ``prune_dominated`` in enumeration order.
     """
     enumerated = enumerate_candidates(topology, size_min, size_max)
-    # Priced in blocks of rows so that the (C, n) cost matrix never exists whole.
-    costs = np.concatenate([
-        cost_rows(enumerated[i : i + _PRICE_BLOCK], topology, params).sum(axis=1)
-        for i in range(0, len(enumerated), _PRICE_BLOCK)
-    ])
+    costs = candidate_costs(enumerated, topology, params)
     position = {cand: i for i, cand in enumerate(enumerated)}
     kept = [position[cand] for cand in prune_dominated(enumerated, costs)]
     return enumerated, costs, np.array(kept, dtype=int)

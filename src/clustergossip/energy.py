@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .candidates import ClusterCandidate, membership, per_candidate
+from .candidates import ClusterCandidate, membership
 from .topology import Topology
 
 __all__ = [
@@ -23,8 +23,9 @@ __all__ = [
     "cost_fc",
     "cost_bc",
     "candidate_cost_l1",
-    "expected_cost",
 ]
+
+_PRICE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -102,30 +103,21 @@ def candidate_cost_l1(
     return float((cost_fc(candidate, topology, params) + cost_bc(candidate, topology, params)).sum())
 
 
-def cost_rows(
+def candidate_costs(
     candidates: Sequence[ClusterCandidate], topology: Topology, params: EnergyParams
 ) -> np.ndarray:
-    """Per-node two-phase costs of all candidates, shape (C, n).
+    """Each candidate's total two-phase cost, shape (C,): its ``candidate_cost_l1``, to rounding.
 
-    Row i equals ``cost_fc + cost_bc`` of candidate i, entry for entry.
+    Priced ``_PRICE_BLOCK`` candidates at a time, so the (C, n) per-node cost matrix never
+    exists whole.
     """
-    mask = membership(candidates, topology.n)  # checks every member, heads included
-    heads = np.array([cand.head for cand in candidates], dtype=int)
-    rows = transmission_energy(params, topology.d_sq[heads]) * mask
-    # Energy grows with distance, so the largest member entry is the broadcast.
-    rows[np.arange(heads.size), heads] = rows.max(axis=1)
-    return rows
-
-
-def expected_cost(
-    p: np.ndarray,
-    candidates: Sequence[ClusterCandidate],
-    topology: Topology,
-    params: EnergyParams,
-) -> np.ndarray:
-    """Expected per-node cost vector under activation probabilities p.
-
-    Linear in p: the p-weighted sum of each candidate's two-phase cost
-    vector.
-    """
-    return per_candidate(p, candidates, "p") @ cost_rows(candidates, topology, params)
+    totals = [np.zeros(0)]
+    for i in range(0, len(candidates), _PRICE_BLOCK):
+        block = candidates[i : i + _PRICE_BLOCK]
+        mask = membership(block, topology.n)  # checks every member, heads included
+        heads = np.array([cand.head for cand in block], dtype=int)
+        rows = transmission_energy(params, topology.d_sq[heads]) * mask
+        # Energy grows with distance, so the largest member entry is the broadcast.
+        rows[np.arange(heads.size), heads] = rows.max(axis=1)
+        totals.append(rows.sum(axis=1))
+    return np.concatenate(totals)

@@ -132,29 +132,33 @@ def _cumulative(p: np.ndarray) -> np.ndarray:
     cumulative = np.cumsum(p)
     if not (p.size and np.all(p >= 0) and abs(cumulative[-1] - 1.0) <= 1e-6):
         raise ValueError(f"p must be nonempty, nonnegative and sum to 1, got sum {p.sum()}")
+    cumulative[np.flatnonzero(p)[-1] :] = np.inf  # so a uniform draw >= sum(p) picks no p = 0
     return cumulative
 
 
 def sample_cluster(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw a candidate index from the categorical distribution p."""
-    cumulative = _cumulative(p)
-    idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return min(idx, cumulative.size - 1)
+    """Draw a candidate index from the categorical distribution p; one whose p is 0 is never drawn."""
+    return int(np.searchsorted(_cumulative(p), rng.random(), side="right"))
 
 
 def consensus_step(y: np.ndarray, candidate: ClusterCandidate) -> np.ndarray:
-    """A copy of the readings y with the members' readings replaced by their in-cluster mean."""
-    y = y.copy()
+    """A float copy of the readings y with the members' readings replaced by their cluster mean."""
+    y = np.array(y, dtype=float)
     idx = np.fromiter(candidate.members, dtype=int)
     y[idx] = y[idx].mean()
     return y
 
 
 def relative_error(y: np.ndarray, y0: np.ndarray) -> float:
-    """Squared distance of the readings y to the mean of y0, relative to y0's squared norm."""
-    denom = float(y0 @ y0)
-    if denom == 0.0:
-        raise ValueError("relative error is undefined for an all-zero initial state")
+    """Squared distance of the readings y to the mean of y0, relative to y0's squared norm.
+
+    That norm must be positive and finite: an all-zero, NaN or overflowing y0 raises ValueError.
+    """
+    y0 = np.asarray(y0, dtype=float)  # as integers, y0 @ y0 would wrap around past 2**63
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = float(y0 @ y0)
+    if not 0 < denom < np.inf:
+        raise ValueError(f"relative error needs y0's squared norm positive and finite, got {denom}")
     eps = y - y0.mean()
     return float(eps @ eps) / denom
 
@@ -224,7 +228,6 @@ def _run_chunk(
                 for r in live:
                     rngs[r].random(out=block[r])
             drawn = np.searchsorted(cumulative, block[live, column], side="right")
-            drawn = np.minimum(drawn, cumulative.size - 1)
             sizes = size_of[drawn]
             # Row groups: a narrow pool's live runs at full width, else each size s at width s.
             if members.shape[1] <= _PADDED_WIDTH:
@@ -262,7 +265,7 @@ def monte_carlo(
     size_of = np.array([cand.size for cand in cands])
     members = np.full((len(cands), size_of.max()), scenario.n)
     members[np.arange(size_of.max()) < size_of[:, None]] = np.concatenate([c.members for c in cands])
-    cumulative = np.cumsum(scenario.p)
+    cumulative = _cumulative(scenario.p)
     total, iterations, finals, terminated = np.zeros((2, 1)), [], [], 0
     for start in range(0, runs, _CHUNK_RUNS):
         seeds = range(base_seed + start, base_seed + min(start + _CHUNK_RUNS, runs))

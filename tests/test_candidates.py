@@ -21,7 +21,7 @@ from clustergossip import (
     xi,
 )
 from clustergossip.candidates import check_sizes
-from clustergossip.energy import cost_rows
+from clustergossip.energy import candidate_costs
 from clustergossip.optimizer import OptimizerOptions
 
 
@@ -207,13 +207,13 @@ def _scenario(cands):
         lambda cands: mixing_matrix(np.array([1.0]), cands, 2),
         lambda cands: xi(np.array([1.0]), cands, 2),
         lambda cands: objective_subgradient(np.array([1.0]), cands, [1.0], 0.0, 2),
-        lambda cands: cost_rows(cands, Topology(np.zeros((2, 2))), EnergyParams()),
+        lambda cands: candidate_costs(cands, Topology(np.zeros((2, 2))), EnergyParams()),
         lambda cands: build_weight_matrix(cands[0], 2),
         lambda cands: run_trial(_scenario(cands), np.array([0.0, 30.0]), np.random.default_rng(0)),
         lambda cands: monte_carlo(_scenario(cands), 1, 0),
     ],
     ids=[
-        "optimize", "mixing_matrix", "xi", "objective_subgradient", "cost_rows",
+        "optimize", "mixing_matrix", "xi", "objective_subgradient", "candidate_costs",
         "build_weight_matrix", "run_trial", "monte_carlo",
     ],
 )

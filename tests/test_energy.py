@@ -11,12 +11,11 @@ from clustergossip import (
     candidate_cost_l1,
     cost_bc,
     cost_fc,
-    expected_cost,
     generate_topology,
     prune_dominated,
     transmission_energy,
 )
-import clustergossip.cli as cli
+import clustergossip.energy as energy
 from clustergossip.cli import prepare_pool
 
 
@@ -112,58 +111,6 @@ def test_cost_vector_structure(three_node_topology):
         assert all(fc[j] == 0.0 and bc[j] == 0.0 for j in outside)
 
 
-def test_expected_cost_degenerate_and_mean(three_node_topology):
-    params = EnergyParams()
-    a = ClusterCandidate(head=0, members=(0, 1))
-    b = ClusterCandidate(head=1, members=(1, 2))
-    ca = cost_fc(a, three_node_topology, params) + cost_bc(a, three_node_topology, params)
-    cb = cost_fc(b, three_node_topology, params) + cost_bc(b, three_node_topology, params)
-    np.testing.assert_array_equal(
-        expected_cost(np.array([1.0, 0.0]), [a, b], three_node_topology, params), ca
-    )
-    np.testing.assert_allclose(
-        expected_cost(np.array([0.5, 0.5]), [a, b], three_node_topology, params),
-        0.5 * (ca + cb),
-        atol=1e-12,
-    )
-
-
-def test_expected_cost_l1_equals_dot_of_l1s(three_node_topology):
-    params = EnergyParams()
-    cands = [
-        ClusterCandidate(head=0, members=(0, 1)),
-        ClusterCandidate(head=1, members=(1, 2)),
-        ClusterCandidate(head=2, members=(0, 1, 2)),
-    ]
-    rng = np.random.default_rng(3)
-    p = rng.dirichlet(np.ones(3))
-    vec = expected_cost(p, cands, three_node_topology, params)
-    l1s = np.array([candidate_cost_l1(c, three_node_topology, params) for c in cands])
-    assert np.sum(vec) == pytest.approx(float(p @ l1s), abs=1e-12)
-
-
-def test_expected_cost_rejects_shape_mismatch(three_node_topology):
-    a = ClusterCandidate(head=0, members=(0, 1))
-    with pytest.raises(ValueError):
-        expected_cost(np.array([0.5, 0.5]), [a], three_node_topology, EnergyParams())
-
-
-@given(st.floats(0.0, 1.0))
-@settings(max_examples=40, deadline=None)
-def test_expected_cost_l1_linear_in_p(lam):
-    topo = Topology(np.array([[0.0, 0.0], [3.0, 4.0], [10.0, 0.0]]))
-    params = EnergyParams()
-    cands = [
-        ClusterCandidate(head=0, members=(0, 1)),
-        ClusterCandidate(head=2, members=(1, 2)),
-    ]
-    p = np.array([0.9, 0.1])
-    q = np.array([0.2, 0.8])
-    mix = lam * p + (1.0 - lam) * q
-    f = lambda r: float(np.sum(expected_cost(r, cands, topo, params)))
-    assert f(mix) == pytest.approx(lam * f(p) + (1.0 - lam) * f(q), abs=1e-12)
-
-
 def test_larger_cluster_never_cheaper():
     """Adding members (same head) cannot reduce the total cost."""
     rng = np.random.default_rng(8)
@@ -188,7 +135,7 @@ def test_larger_cluster_never_cheaper():
     st.floats(0.0, 5.0),
     st.floats(0.0, 5.0),
     st.floats(0.0, 5.0),
-    st.sampled_from([1, 7, cli._PRICE_BLOCK]),
+    st.sampled_from([1, 7, energy._PRICE_BLOCK]),
     st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
@@ -203,7 +150,7 @@ def test_prepare_pool_matches_scalar_oracles(
     params = EnergyParams() if default else EnergyParams(eps_amp, e_elec, k_bits)
     size_min = int(rng.integers(2, n + 1))
     size_max = None if unset else int(rng.integers(size_min, n + 1))
-    with mock.patch.object(cli, "_PRICE_BLOCK", block):
+    with mock.patch.object(energy, "_PRICE_BLOCK", block):
         enumerated, costs, kept = prepare_pool(topo, size_min, size_max, params)
         if unset:
             full = prepare_pool(topo, size_min, n, params)

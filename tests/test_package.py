@@ -24,7 +24,7 @@ PUBLIC = {
     "EnergyParams", "NumericalError", "OptimizerOptions", "SimulationScenario",
     "SimulationTrace", "Topology", "build_weight_matrix", "candidate_cost_l1",
     "consensus_step", "cost_bc", "cost_fc", "draw_initial_state", "enumerate_candidates",
-    "expected_cost", "generate_topology", "load_topology", "mixing_matrix", "monte_carlo",
+    "generate_topology", "load_topology", "mixing_matrix", "monte_carlo",
     "mse_bound_check", "objective_subgradient", "optimize", "project_simplex",
     "prune_dominated", "relative_error", "run_trial", "sample_cluster",
     "squared_distance_matrix", "symmetric_top_eigenpair", "transmission_energy", "xi",

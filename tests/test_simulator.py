@@ -74,6 +74,13 @@ def test_sample_cluster_frequency():
     assert 0.48 <= freq0 <= 0.52
 
 
+@pytest.mark.parametrize("seed", [339728, 2548277])
+def test_sample_cluster_never_draws_a_zero_probability_candidate(seed):
+    """p sums to 1 - 1e-6, and this seed's uniform lies past that sum: the last positive p is
+    drawn, not the trailing p = 0."""
+    assert sample_cluster(np.array([0.5, 0.499999, 0.0]), np.random.default_rng(seed)) == 1
+
+
 def test_sample_cluster_rejects_non_pmf():
     with pytest.raises(ValueError):
         sample_cluster(np.array([0.5, 0.6]), np.random.default_rng(0))
@@ -120,9 +127,30 @@ def test_relative_error_values():
 
 
 def test_relative_error_rejects_zero_initial():
-    zero = np.zeros(3)
-    with pytest.raises(ValueError):
-        relative_error(zero, zero)
+    """Nor a NaN, infinite or overflowing initial state: its squared norm is no positive float."""
+    for y0 in (np.zeros(3), np.array([1.0, np.nan]), np.array([np.inf, 1.0]), np.full(2, 1e200)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            relative_error(y0, y0)
+
+
+def test_run_trial_integer_readings_average_as_floats():
+    """An integer start follows the float start's trace byte for byte, where a truncated mean
+    [0, 1, 5] -> [0, 0, 5] used to stall it."""
+    scenario = _symmetric_scenario(threshold=1e-3, max_iters=200)
+    as_int = run_trial(scenario, np.array([0, 1, 5]), np.random.default_rng(4))
+    as_float = run_trial(scenario, np.array([0.0, 1.0, 5.0]), np.random.default_rng(4))
+    assert as_float.terminated_at is not None
+    assert as_int.terminated_at == as_float.terminated_at
+    for name in ("errors", "energies", "activations"):
+        assert getattr(as_int, name).tobytes() == getattr(as_float, name).tobytes()
+    big = np.array([3 * 2**31, 0, 0])  # its integer squared norm wraps around to 2**62
+    assert relative_error(big, big) == relative_error(big.astype(float), big.astype(float))
+
+
+def test_run_trial_rejects_a_nan_reading_at_slot_0():
+    scenario = _symmetric_scenario()
+    with pytest.raises(ValueError, match="got nan"):
+        run_trial(scenario, np.array([0.0, np.nan, 5.0]), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("readings", [4, 7])
@@ -238,6 +266,16 @@ def test_monte_carlo_right_extends_finished_runs():
     assert avg.mean_energy_at_threshold == pytest.approx(
         np.mean([t.energies[-1] for t in traces])
     )
+
+
+def test_monte_carlo_never_draws_a_zero_probability_candidate():
+    """Only the p = 0 pair (2, 3) costs energy, and only it mixes node 3. One of these runs draws a
+    uniform past sum(p) = 1 - 1e-6, which used to pick that pair."""
+    pairs = tuple(ClusterCandidate(head=a, members=(a, a + 1)) for a in range(3))
+    scenario = _scenario(pairs, [0.0, 0.0, 1.0], [0.5, 0.499999, 0.0], 1e-300, 2000, n=4)
+    avg = monte_carlo(scenario, runs=250, base_seed=8)
+    assert avg.mean_energy_at_threshold == 0.0
+    assert avg.terminated_runs == 0
 
 
 def test_monte_carlo_mean_error_decays():
