@@ -210,7 +210,7 @@ def run_sweep(config: ExperimentConfig) -> int:
 
     summary: list[dict[str, Any]] = []
     traces: list[tuple[AveragedTrace, float]] = []
-    for alpha in config.alphas:
+    for alpha in (float(a) + 0.0 for a in config.alphas):  # + 0.0: -0.0 is written as 0.0
         options = OptimizerOptions(alpha=alpha, epsilon=config.epsilon)
         result = optimize(kept, costs, topology.n, options)
         feasible = result.feasible  # an infeasible alpha is not simulated
@@ -228,7 +228,7 @@ def run_sweep(config: ExperimentConfig) -> int:
             averaged = monte_carlo(scenario, config.runs, config.sim_base_seed)
             traces.append((averaged, alpha))
         summary.append({
-            "alpha": float(alpha),
+            "alpha": alpha,
             "feasible": feasible,
             "xi": result.xi,
             "objective": result.objective,

@@ -34,7 +34,7 @@ __all__ = [
 # run's uniforms this many at a time.
 _CHUNK_RUNS = 250
 _BLOCK = 64
-# The widest pool whose clusters _run_chunk averages as one zero-padded row group: numpy sums fewer
+# The widest pool whose clusters monte_carlo averages as one zero-padded row group: numpy sums fewer
 # than 8 terms left to right, so trailing zeros change no sum, but 8 or more pairwise.
 _PADDED_WIDTH = 7
 
@@ -195,87 +195,75 @@ def run_trial(
     )
 
 
-def _run_chunk(
-    scenario: SimulationScenario, seeds: range, cumulative: np.ndarray, members: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Advance one ``run_trial`` per seed together, slot by slot, on one state array.
-
-    Row i of ``members`` holds candidate i's members, ascending, padded with n. Returns the
-    (2, slots) per-slot sums of error and energy, in which a finished run holds its final
-    values; each run's iterations and final energy; and how many runs crossed the threshold.
-    """
-    size_of = np.count_nonzero(members < scenario.n, axis=1)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    low, high = scenario.init_low, scenario.init_high
-    y = np.array([draw_initial_state(scenario.n, low, high, rng) for rng in rngs])
-    # Batched, these round as relative_error's y0.mean(), y0 @ y0 and eps @ eps.
-    mean0 = y.mean(axis=1)
-    denom = np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
-    y = np.pad(y, [(0, 0), (0, 1)])  # column n, the padding of ``members``, kept at 0
-    error = np.zeros(len(rngs))
-    energy = np.zeros(len(rngs))
-    stop = np.full(len(rngs), scenario.max_iters)
-    live = np.arange(len(rngs))
-    sums = []
-    block = np.empty((len(rngs), _BLOCK))
-    for t in range(scenario.max_iters + 1):
-        if live.size == 0:
-            break
-        if t:  # slot 0 is the initial state: nothing is drawn, averaged or charged
-            column = (t - 1) % _BLOCK
-            if column == 0:
-                # Generator.random(k) yields the doubles of k scalar random() calls.
-                for r in live:
-                    rngs[r].random(out=block[r])
-            drawn = np.searchsorted(cumulative, block[live, column], side="right")
-            sizes = size_of[drawn]
-            # Row groups: a narrow pool's live runs at full width, else each size s at width s.
-            if members.shape[1] <= _PADDED_WIDTH:
-                groups = [(slice(None), members.shape[1])]
-            else:
-                groups = [(sizes == s, s) for s in np.flatnonzero(np.bincount(sizes)).tolist()]
-            for pick, width in groups:
-                rows, cols = live[pick][:, None], members[drawn[pick], :width]
-                y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / sizes[pick, None]
-            y[:, -1] = 0.0
-            energy[live] += scenario.costs_l1[drawn]
-        eps = y[live, :-1] - mean0[live, None]
-        error[live] = np.matmul(eps[:, None, :], eps[:, :, None])[:, 0, 0] / denom[live]
-        sums.append((error.sum(), energy.sum()))
-        crossed = error[live] < scenario.threshold
-        stop[live[crossed]] = t
-        live = live[~crossed]
-    return np.array(sums).T, stop, energy, len(rngs) - live.size
-
-
 def monte_carlo(
     scenario: SimulationScenario, runs: int, base_seed: int
 ) -> AveragedTrace:
     """Average independent trials, run r seeded with base_seed + r.
 
     Each run draws its own initial state from its stream, then follows the path
-    ``run_trial`` gives it. Runs advance together in chunks of ``_CHUNK_RUNS`` over one
-    (C, width) member table, width the widest candidate's size, so memory is
-    O(runs + chunk * n + slots + C * width). A finished run holds its final error and
-    energy, i.e. is right-extended as constants in the mean.
+    ``run_trial`` gives it. Runs advance together, slot by slot, in chunks of ``_CHUNK_RUNS``
+    over one (C, width) member table, whose row i holds candidate i's members, ascending,
+    padded with n to the widest candidate's size; memory is O(runs + chunk * n + slots +
+    C * width). A finished run holds its final error and energy, i.e. is right-extended as
+    constants in the mean.
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
-    cands = scenario.candidates
+    cands, n, low, high = scenario.candidates, scenario.n, scenario.init_low, scenario.init_high
     size_of = np.array([cand.size for cand in cands])
-    members = np.full((len(cands), size_of.max()), scenario.n)
+    members = np.full((len(cands), size_of.max()), n)
     members[np.arange(size_of.max()) < size_of[:, None]] = np.concatenate([c.members for c in cands])
     cumulative = _cumulative(scenario.p)
     total, iterations, finals, terminated = np.zeros((2, 1)), [], [], 0
     for start in range(0, runs, _CHUNK_RUNS):
         seeds = range(base_seed + start, base_seed + min(start + _CHUNK_RUNS, runs))
-        sums, stop, energy, crossed = _run_chunk(scenario, seeds, cumulative, members)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        y = np.array([draw_initial_state(n, low, high, rng) for rng in rngs])
+        # Batched, these round as relative_error's y0.mean(), y0 @ y0 and eps @ eps.
+        mean0 = y.mean(axis=1)
+        denom = np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
+        y = np.pad(y, [(0, 0), (0, 1)])  # column n, the padding of ``members``, kept at 0
+        error = np.zeros(len(rngs))
+        energy = np.zeros(len(rngs))
+        stop = np.full(len(rngs), scenario.max_iters)
+        live = np.arange(len(rngs))
+        sums = []
+        block = np.empty((len(rngs), _BLOCK))
+        for t in range(scenario.max_iters + 1):
+            if live.size == 0:
+                break
+            if t:  # slot 0 is the initial state: nothing is drawn, averaged or charged
+                column = (t - 1) % _BLOCK
+                if column == 0:
+                    # Generator.random(k) yields the doubles of k scalar random() calls.
+                    for r in live:
+                        rngs[r].random(out=block[r])
+                drawn = np.searchsorted(cumulative, block[live, column], side="right")
+                sizes = size_of[drawn]
+                # Row groups: a narrow pool's live runs at full width, else each size s at width s.
+                if members.shape[1] <= _PADDED_WIDTH:
+                    groups = [(slice(None), members.shape[1])]
+                else:
+                    groups = [(sizes == s, s) for s in np.flatnonzero(np.bincount(sizes)).tolist()]
+                for pick, width in groups:
+                    rows, cols = live[pick][:, None], members[drawn[pick], :width]
+                    y[rows, cols] = y[rows, cols].sum(axis=1, keepdims=True) / sizes[pick, None]
+                y[:, -1] = 0.0
+                energy[live] += scenario.costs_l1[drawn]
+            eps = y[live, :-1] - mean0[live, None]
+            error[live] = np.matmul(eps[:, None, :], eps[:, :, None])[:, 0, 0] / denom[live]
+            sums.append((error.sum(), energy.sum()))
+            crossed = error[live] < scenario.threshold
+            stop[live[crossed]] = t
+            live = live[~crossed]
         # Right-extend the shorter of the two by its last slot's sums, then add.
-        width = max(total.shape[1], sums.shape[1])
-        total = sum(np.pad(a, [(0, 0), (0, width - a.shape[1])], "edge") for a in (total, sums))
+        sums = np.array(sums).T
+        slots = max(total.shape[1], sums.shape[1])
+        total = sum(np.pad(a, [(0, 0), (0, slots - a.shape[1])], "edge") for a in (total, sums))
         iterations.append(stop)
         finals.append(energy)
-        terminated += crossed
+        terminated += len(rngs) - live.size
+        del rngs, y, block  # so peak memory holds one chunk's streams and states, not two
     return AveragedTrace(
         mean_errors=total[0] / runs,
         mean_energies=total[1] / runs,

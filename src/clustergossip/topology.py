@@ -49,13 +49,12 @@ class Topology:
     d_sq: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        try:
-            pos = np.array(self.positions, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(f"positions must be an array of numbers: {exc}") from exc
-        # numpy converts "0" and true as well, so each entry (as a Python scalar) must be a number.
-        if not all(map(is_finite_number, np.array(self.positions, dtype=object).flat)):
+        # numpy converts "0" and true to floats as well, so each entry, as a Python scalar, must
+        # be a number; a ragged row is a list entry.
+        entries = np.array(self.positions, dtype=object)
+        if not all(map(is_finite_number, entries.flat)):
             raise ConfigurationError("positions must all be finite numbers")
+        pos = entries.astype(float)
         d_sq = squared_distance_matrix(pos)
         for name, array in (("positions", pos), ("d_sq", d_sq)):
             array.setflags(write=False)

@@ -295,6 +295,18 @@ def test_run_sweep_end_to_end(tmp_path):
         assert float(last[2]) <= config.error_threshold  # every run finished
 
 
+def test_run_sweep_writes_an_alpha_of_minus_zero_as_zero(tmp_path):
+    """The config already takes 0.0 and -0.0 as one value, so both write the same files."""
+    outputs = []
+    for alpha in (0.0, -0.0):
+        out = tmp_path / repr(alpha)
+        config = load_config(_write_config(tmp_path, alphas=[alpha], output_dir=str(out)))
+        assert run_sweep(config) == EXIT_OK
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert list(outputs[1]) == ["summary.json", "trace_alpha=0.0.csv"]
+    assert outputs[1] == outputs[0]
+
+
 def test_run_sweep_alpha_zero_prefers_all_node_cluster(tmp_path):
     config = load_config(_write_config(tmp_path, alphas=[0.0]))
     assert run_sweep(config) == EXIT_OK

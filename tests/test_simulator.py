@@ -450,14 +450,11 @@ def test_monte_carlo_one_run_bit_identical_on_narrow_and_wide_pools(width, padde
     row group, a wider one as one group per cluster size; either way one run is run_trial's,
     bit for bit, on each of n = 12, 30 and 300 that exceeds the width. 130 members pass
     numpy's 128-term pairwise block. The grouping follows the table's width, not the draws:
-    with the widest candidate at probability 0, every draw is narrower than the table."""
+    with the widest candidate at probability 0, every draw is narrower than the table. Only the
+    one-group-per-size branch counts the drawn sizes with np.bincount, so a call that never
+    counts them took the padded branch."""
     rng = np.random.default_rng(width)
-    run_chunk, paths = simulator._run_chunk, []
-
-    def spy(scenario, seeds, cumulative, members):
-        paths.append(members.shape[1] <= simulator._PADDED_WIDTH)
-        return run_chunk(scenario, seeds, cumulative, members)
-
+    paths = []
     ns = [n for n in (12, 30, 300) if n > width]
     for n in ns:
         sizes = [width, *rng.integers(2, width + widest_drawn, size=11).tolist()]
@@ -477,8 +474,9 @@ def test_monte_carlo_one_run_bit_identical_on_narrow_and_wide_pools(width, padde
         )
         for seed in range(40):
             traces, _ = _reference_average(scenario, 1, seed)
-            with mock.patch.object(simulator, "_run_chunk", spy):
+            with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
                 avg = monte_carlo(scenario, 1, seed)
+            paths.append(bincount.call_count == 0)
             assert avg.mean_errors.tobytes() == traces[0].errors.tobytes()
             assert avg.mean_energies.tobytes() == traces[0].energies.tobytes()
     assert paths == [padded] * (40 * len(ns))
@@ -507,6 +505,63 @@ def test_monte_carlo_matches_reference_across_chunks_and_edge_runs():
     assert avg.mean_energy_at_threshold == ref.mean_energy_at_threshold
     np.testing.assert_allclose(avg.mean_errors, ref.mean_errors, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(avg.mean_energies, ref.mean_energies, rtol=1e-12, atol=1e-12)
+
+
+def _second_moment_curve(scenario, p):
+    """E|e_t|^2 / E|y_0|^2 for the deviation e = y - mean(y), slot by slot, with no sampling.
+
+    Each W_i is a symmetric projector, so S_t = E[e_t e_t^T] follows S_{t+1} = sum_i p_i W_i S_t
+    W_i exactly from S_0 = sigma^2 (I - J); over uniform readings on [low, high],
+    E|y_0|^2 = n (mu^2 + sigma^2). Boyd, Ghosh, Prabhakar & Shah (IEEE T-IT 2006) bound the trace.
+    """
+    n, low, high = scenario.n, scenario.init_low, scenario.init_high
+    weights = [build_weight_matrix(cand, n) for cand in scenario.candidates]
+    var, mu = (high - low) ** 2 / 12, (high + low) / 2
+    s, curve = var * (np.eye(n) - 1.0 / n), []
+    for _ in range(scenario.max_iters + 1):
+        curve.append(np.trace(s))
+        s = sum(p_i * w @ s @ w for p_i, w in zip(p, weights))
+    return np.array(curve) / (n * (mu**2 + var))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_monte_carlo_matches_the_second_moment_recursion(seed):
+    """An oracle that shares no code with run_trial: the mean of 20 batches of 100 runs, each
+    batch from its own base seed, lies within 5 batch-mean standard errors of the recursion at
+    every slot where the curve is at least 1e-2 of its slot-0 value (below that the heavy tail
+    of the error breaks the normal approximation). The narrow init range [10, 12] keeps the
+    mean of ratios that monte_carlo averages close to the ratio of means that the recursion
+    gives. Negative control: the same check with p rolled by one place fails."""
+    rng = np.random.default_rng(seed)
+    n, count = int(rng.integers(4, 13)), int(rng.integers(2, 7))
+    member_sets = [
+        tuple(sorted(rng.choice(n, int(rng.integers(2, n + 1)), replace=False).tolist()))
+        for _ in range(count)
+    ]
+    p = rng.random(count) + 0.05
+    scenario = SimulationScenario(
+        candidates=tuple(ClusterCandidate(head=m[0], members=m) for m in member_sets),
+        costs_l1=np.ones(count),
+        p=p / p.sum(),
+        n=n,
+        init_low=10.0,
+        init_high=12.0,
+        threshold=1e-300,
+        max_iters=60,
+    )
+    slots = scenario.max_iters + 1
+    batches = [monte_carlo(scenario, 100, 100 * b).mean_errors for b in range(20)]
+    batches = np.array([np.pad(m, (0, slots - m.size), "edge") for m in batches])
+    mean = batches.mean(axis=0)
+    standard_error = batches.std(axis=0, ddof=1) / np.sqrt(len(batches))
+
+    def worst_gap(p):
+        curve = _second_moment_curve(scenario, p)
+        checked = curve >= 1e-2 * curve[0]
+        return np.max(np.abs(mean - curve)[checked] / standard_error[checked])
+
+    assert worst_gap(scenario.p) <= 5.0
+    assert worst_gap(np.roll(scenario.p, 1)) > 5.0
 
 
 @pytest.mark.parametrize(
