@@ -1,4 +1,4 @@
-"""Cluster candidate enumeration, averaging matrices, and dominance pruning.
+"""Cluster candidate enumeration, the membership matrix, and dominance pruning.
 
 A candidate is a head node plus the cluster it would run: the head and its
 nearest neighbors by squared distance. Activating a candidate replaces the
@@ -21,7 +21,6 @@ from .topology import Topology
 __all__ = [
     "ClusterCandidate",
     "enumerate_candidates",
-    "build_weight_matrix",
     "prune_dominated",
 ]
 
@@ -95,20 +94,6 @@ def enumerate_candidates(
             members = tuple(sorted([head] + order[: size - 1]))
             out.append(ClusterCandidate(head=head, members=members))
     return out
-
-
-def build_weight_matrix(candidate: ClusterCandidate, n: int) -> np.ndarray:
-    """Averaging matrix of one candidate: members mix to their mean, others hold.
-
-    Entry (j, k) is 1/size for j, k both members, 1 on the diagonal for
-    non-members, and 0 otherwise. The result is symmetric, doubly
-    stochastic, and idempotent.
-    """
-    membership([candidate], n)  # only for its member-range check
-    w = np.eye(n)
-    idx = np.fromiter(candidate.members, dtype=int)
-    w[np.ix_(idx, idx)] = 1.0 / candidate.size
-    return w
 
 
 def membership(candidates: Sequence[ClusterCandidate], n: int) -> np.ndarray:

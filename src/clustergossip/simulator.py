@@ -5,6 +5,7 @@ distribution, its members' states collapse to their mean, and the
 cluster's total transmit energy is charged. Trials track the relative
 error ``|y(t) - mean(y(0))*1|^2 / |y(0)|^2`` and stop once it falls below
 a threshold; a centralized observer is assumed for the stopping rule.
+Tests check ``monte_carlo`` against the per-run reference ``run_trial`` in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -18,16 +19,13 @@ from .candidates import ClusterCandidate, membership, per_candidate
 from .errors import ConfigurationError
 
 __all__ = [
-    "SimulationTrace",
     "SimulationScenario",
     "AveragedTrace",
     "draw_initial_state",
     "sample_cluster",
     "consensus_step",
     "relative_error",
-    "run_trial",
     "monte_carlo",
-    "mse_bound_check",
 ]
 
 # monte_carlo holds this many runs' states and streams at once, and draws each
@@ -37,23 +35,6 @@ _BLOCK = 64
 # The widest pool whose clusters monte_carlo averages as one zero-padded row group: numpy sums fewer
 # than 8 terms left to right, so trailing zeros change no sum, but 8 or more pairwise.
 _PADDED_WIDTH = 7
-
-
-@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
-class SimulationTrace:
-    """One trial's history.
-
-    errors[t] and energies[t] are the relative error and cumulative energy
-    after slot t (index 0 is the initial state, zero energy);
-    activations[t-1] is the candidate index drawn in slot t. terminated_at
-    is the first slot index with error below threshold, or None if the
-    iteration cap was hit first.
-    """
-
-    errors: np.ndarray
-    energies: np.ndarray
-    activations: np.ndarray
-    terminated_at: int | None
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
@@ -163,49 +144,17 @@ def relative_error(y: np.ndarray, y0: np.ndarray) -> float:
     return float(eps @ eps) / denom
 
 
-def run_trial(
-    scenario: SimulationScenario, initial: np.ndarray, rng: np.random.Generator
-) -> SimulationTrace:
-    """Run one trial from the n readings ``initial`` until the error threshold or the iteration cap.
-
-    Slot energy is the activated candidate's total two-phase cost, taken from
-    ``scenario.costs_l1``.
-    """
-    if np.shape(initial) != (scenario.n,):
-        raise ValueError(f"initial: shape {np.shape(initial)}, expected ({scenario.n},)")
-    y = initial
-    errors: list[float] = []
-    energies = [0.0]
-    activations: list[int] = []
-    for t in range(scenario.max_iters + 1):
-        if t:  # slot 0 is the initial state: nothing is drawn, averaged or charged
-            idx = sample_cluster(scenario.p, rng)
-            y = consensus_step(y, scenario.candidates[idx])
-            activations.append(idx)
-            energies.append(energies[-1] + scenario.costs_l1[idx])
-        errors.append(relative_error(y, initial))
-        if errors[-1] < scenario.threshold:
-            break
-
-    return SimulationTrace(
-        errors=np.array(errors),
-        energies=np.array(energies),
-        activations=np.array(activations, dtype=int),
-        terminated_at=t if errors[-1] < scenario.threshold else None,
-    )
-
-
 def monte_carlo(
     scenario: SimulationScenario, runs: int, base_seed: int
 ) -> AveragedTrace:
     """Average independent trials, run r seeded with base_seed + r.
 
-    Each run draws its own initial state from its stream, then follows the path
-    ``run_trial`` gives it. Runs advance together, slot by slot, in chunks of ``_CHUNK_RUNS``
-    over one (C, width) member table, whose row i holds candidate i's members, ascending,
-    padded with n to the widest candidate's size; memory is O(runs + chunk * n + slots +
-    C * width). A finished run holds its final error and energy, i.e. is right-extended as
-    constants in the mean.
+    Each run draws its own initial state from its stream, then follows the path that the
+    per-run reference ``run_trial`` in tests/reference.py gives it. Runs advance together, slot
+    by slot, in chunks of ``_CHUNK_RUNS`` over one (C, width) member table, whose row i holds
+    candidate i's members, ascending, padded with n to the widest candidate's size; memory is
+    O(runs + chunk * n + slots + C * width). A finished run holds its final error and energy,
+    i.e. is right-extended as constants in the mean.
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
@@ -273,18 +222,3 @@ def monte_carlo(
         mean_energy_at_threshold=float(np.mean(np.concatenate(finals))),
     )
 
-
-def mse_bound_check(
-    averaged_trace: AveragedTrace, xi_value: float, initial_error: float
-) -> bool:
-    """Check the geometric error bound against an averaged trace.
-
-    True iff the mean error at every recorded slot t stays below
-    ``xi_value**t * initial_error * 1.1``. The bound holds for the expected error; the 10%
-    allows for the sampling error of a mean over finitely many runs. initial_error must be in
-    the same units as the trace (relative error).
-    """
-    if not 0.0 <= xi_value < 1.0:
-        raise ValueError(f"xi_value must lie in [0, 1), got {xi_value}")
-    bounds = initial_error * 1.1 * xi_value ** np.arange(averaged_trace.mean_errors.size)
-    return bool(np.all(averaged_trace.mean_errors <= bounds))

@@ -21,7 +21,6 @@ from clustergossip import (
     OptimizerOptions,
     SimulationScenario,
     Topology,
-    build_weight_matrix,
     candidate_cost_l1,
     consensus_step,
     draw_initial_state,
@@ -29,7 +28,6 @@ from clustergossip import (
     generate_topology,
     mixing_matrix,
     monte_carlo,
-    mse_bound_check,
     objective_subgradient,
     optimize,
     relative_error,
@@ -37,6 +35,7 @@ from clustergossip import (
     xi,
 )
 from clustergossip.cli import EXIT_OK, config_from_dict, prepare_pool, run_sweep
+from reference import build_weight_matrix, dense_mixing_matrix, mse_bound_check
 
 FIELD_NODES = 30
 FIELD_SIDE = 50.0
@@ -123,7 +122,7 @@ def test_criterion_02_spectral_agreement():
         candidates = enumerate_candidates(topology, 2, n)
         p = rng.dirichlet(np.ones(len(candidates)))
         deflated = xi(p, candidates, n)
-        full = float(np.sort(np.linalg.eigvalsh(mixing_matrix(p, candidates, n)))[-2])
+        full = float(np.sort(np.linalg.eigvalsh(dense_mixing_matrix(p, candidates, n)))[-2])
         assert abs(deflated - full) <= 1e-9
         assert 0.0 <= deflated <= 1.0
 
@@ -144,7 +143,7 @@ def _grid_xi_and_cost(candidates, costs, n, step):
     xis = np.empty(len(points))
     lin = np.empty(len(points))
     for k, p in enumerate(points):
-        w = mixing_matrix(p, candidates, n)
+        w = dense_mixing_matrix(p, candidates, n)
         lam = float(np.sort(np.linalg.eigvalsh(w))[-2])
         xis[k] = min(max(lam, 0.0), 1.0)
         lin[k] = float(costs @ p)

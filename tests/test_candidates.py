@@ -8,7 +8,6 @@ from clustergossip import (
     EnergyParams,
     SimulationScenario,
     Topology,
-    build_weight_matrix,
     candidate_cost_l1,
     enumerate_candidates,
     generate_topology,
@@ -17,12 +16,12 @@ from clustergossip import (
     objective_subgradient,
     optimize,
     prune_dominated,
-    run_trial,
     xi,
 )
 from clustergossip.candidates import check_sizes
 from clustergossip.energy import candidate_costs
 from clustergossip.optimizer import OptimizerOptions
+from reference import build_weight_matrix, run_trial
 
 
 def test_candidate_validation():

@@ -762,3 +762,51 @@ def test_candidates_never_raises_on_malformed_topology_files(positions):
             assert validated == (EXIT_OK, "")
         elif "positions" in message:
             assert validated == (EXIT_CONFIG_ERROR, message)
+
+
+_EXTREMES = [0.0, 5e-324, 2.2e-308, 1e-300, 1e-12, 1e12, 1e300, 1.7976931348623157e308]
+_nonnegative = st.one_of(st.sampled_from(_EXTREMES), st.floats(0.0, allow_infinity=False))
+_signed = st.one_of(
+    st.sampled_from(_EXTREMES + [-v for v in _EXTREMES]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_epsilon = st.one_of(
+    st.sampled_from([1e-12, 0.5, 1 - 2**-53]), st.floats(1e-12, 1.0, exclude_max=True)
+)
+
+
+@st.composite
+def _small_configs(draw):
+    """Configs of at most 8 nodes, sizes at most 4, at most 20 runs and one or two alphas."""
+    n = draw(st.integers(2, 8))
+    size_min = draw(st.integers(2, min(4, n)))
+    config = {
+        "n_nodes": n,
+        "cluster_size_min": size_min,
+        "cluster_size_max": draw(st.one_of(st.none(), st.integers(size_min, min(4, n)))),
+        "runs": draw(st.integers(1, 20)),
+        "alphas": draw(st.lists(_nonnegative, min_size=1, max_size=2, unique=True)),
+        "max_iterations": draw(st.integers(1, 200)),
+    }
+    keys = ("area_side", "error_threshold", "eps_amp", "e_elec", "k_bits")
+    optional = {**dict.fromkeys(keys, _nonnegative), "epsilon": _epsilon}
+    config.update(draw(st.fixed_dictionaries({}, optional=optional)))
+    if draw(st.booleans()):
+        low, high = sorted(draw(st.lists(_signed, min_size=2, max_size=2)))
+        config.update(init_low=low, init_high=high)
+    return config
+
+
+@given(_small_configs())
+@settings(max_examples=25, deadline=None)
+def test_run_never_raises_on_configs_that_validate_accepts(data):
+    """Small configs with extreme floats that validate accepts: run exits 0-4, never with a
+    traceback (exit 5 prints one)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**data, "output_dir": str(Path(tmp) / "out")}))
+        if _exit_and_stderr(["validate", "--config", str(path)])[0] != EXIT_OK:
+            return
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, message = _exit_and_stderr(["run", "--config", str(path)])
+        assert code in range(EXIT_NUMERICAL_ERROR + 1) and "Traceback" not in message, message

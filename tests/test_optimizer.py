@@ -7,7 +7,6 @@ from clustergossip import (
     EnergyParams,
     NumericalError,
     Topology,
-    build_weight_matrix,
     candidate_cost_l1,
     enumerate_candidates,
     generate_topology,
@@ -22,6 +21,7 @@ from clustergossip import optimizer
 from clustergossip.candidates import membership
 from clustergossip.cli import ExperimentConfig, prepare_pool
 from clustergossip.optimizer import OptimizerOptions
+from reference import build_weight_matrix
 from test_acceptance import _draw_tiny_instance, _grid_xi_and_cost
 
 

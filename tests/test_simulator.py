@@ -11,15 +11,13 @@ from clustergossip import (
     ClusterCandidate,
     ConfigurationError,
     SimulationScenario,
-    build_weight_matrix,
     consensus_step,
     draw_initial_state,
     monte_carlo,
-    mse_bound_check,
     relative_error,
-    run_trial,
     sample_cluster,
 )
+from reference import build_weight_matrix, mse_bound_check, run_trial
 
 
 PAIR_01 = ClusterCandidate(head=0, members=(0, 1))
