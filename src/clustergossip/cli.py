@@ -22,7 +22,7 @@ from .candidates import ClusterCandidate, check_sizes, enumerate_candidates, pru
 from .energy import EnergyParams, candidate_costs
 from .errors import ConfigurationError, NumericalError, is_finite_number, read_json_object, show
 from .optimizer import MIN_EPSILON, OptimizerOptions, optimize
-from .simulator import AveragedTrace, SimulationScenario, monte_carlo
+from .simulator import AveragedTrace, SimulationScenario, check_init_range, monte_carlo
 from .topology import Topology, generate_topology, load_topology
 
 __all__ = [
@@ -103,10 +103,7 @@ class ExperimentConfig:
             fail("alphas", f"must not repeat a value, got {list(self.alphas)}")
         if not MIN_EPSILON <= self.epsilon < 1:
             fail("epsilon", f"must lie in [{MIN_EPSILON}, 1), got {self.epsilon}")
-        if self.init_low > self.init_high:
-            fail("init_low", f"must be <= init_high, got {self.init_low}")
-        if self.init_low == self.init_high == 0:
-            fail("init_high", "must differ from 0 when init_low is 0 (all-zero start)")
+        check_init_range(self.init_low, self.init_high)
 
     def size_max(self) -> int:
         """Largest cluster size of a drawn field, as ``check_sizes`` resolves it for ``n_nodes``."""

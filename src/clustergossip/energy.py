@@ -4,7 +4,9 @@ One activation has two phases: members transmit simultaneously to the head
 (cost per member grows with squared distance to the head), then the head
 broadcasts the result back, which must reach the farthest member. With the
 default parameters the energy of a single transmission is numerically the
-squared distance, so all energies are in abstract units.
+squared distance, so all energies are in abstract units. ``candidate_costs`` is
+the one pricing; tests check it against the per-node scalar forms in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .topology import Topology
 __all__ = [
     "EnergyParams",
     "transmission_energy",
-    "cost_fc",
-    "cost_bc",
     "candidate_cost_l1",
 ]
 
@@ -66,50 +66,24 @@ def transmission_energy(
     return k * params.e_elec + params.eps_amp * k * d_sq + k * params.e_elec
 
 
-def cost_fc(
-    candidate: ClusterCandidate, topology: Topology, params: EnergyParams
-) -> np.ndarray:
-    """Per-node cost of the members-to-head phase.
-
-    Each non-head member pays one transmission over its squared distance to
-    the head; the head receives and pays nothing here; non-members are zero.
-    """
-    c = np.zeros(topology.n)
-    for m in candidate.members:
-        if m != candidate.head:
-            c[m] = transmission_energy(params, topology.d_sq[candidate.head, m])
-    return c
-
-
-def cost_bc(
-    candidate: ClusterCandidate, topology: Topology, params: EnergyParams
-) -> np.ndarray:
-    """Per-node cost of the head's broadcast phase.
-
-    A single nonzero entry at the head, sized by the maximum squared
-    distance from the head to any member.
-    """
-    c = np.zeros(topology.n)
-    idx = np.fromiter(candidate.members, dtype=int)
-    d_max = float(topology.d_sq[candidate.head, idx].max())
-    c[candidate.head] = transmission_energy(params, d_max)
-    return c
-
-
 def candidate_cost_l1(
     candidate: ClusterCandidate, topology: Topology, params: EnergyParams
 ) -> float:
-    """Total energy of one activation: both phases summed over all nodes."""
-    return float((cost_fc(candidate, topology, params) + cost_bc(candidate, topology, params)).sum())
+    """Total energy of one activation: the one-row case of ``candidate_costs``.
+
+    It stays only because perfbench/micro.py imports it; ROADMAP items 1 and 7 retire it.
+    """
+    return float(candidate_costs([candidate], topology, params)[0])
 
 
 def candidate_costs(
     candidates: Sequence[ClusterCandidate], topology: Topology, params: EnergyParams
 ) -> np.ndarray:
-    """Each candidate's total two-phase cost, shape (C,): its ``candidate_cost_l1``, to rounding.
+    """Each candidate's total two-phase cost, shape (C,).
 
-    Priced ``_PRICE_BLOCK`` candidates at a time, so the (C, n) per-node cost matrix never
-    exists whole.
+    Each non-head member pays one transmission over its squared distance to the head (fan-in),
+    and the head pays one to its farthest member (broadcast). Priced ``_PRICE_BLOCK`` candidates
+    at a time, so the (C, n) per-node cost matrix never exists whole.
     """
     totals = [np.zeros(0)]
     for i in range(0, len(candidates), _PRICE_BLOCK):

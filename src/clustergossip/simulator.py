@@ -84,18 +84,34 @@ class AveragedTrace:
     mean_energy_at_threshold: float
 
 
+def check_init_range(low: float, high: float) -> None:
+    """Refuse, naming init_low and init_high, a range from which no draw of n >= 2 readings starts.
+
+    The relative error divides by the readings' squared norm, so that norm must be positive and
+    finite. It cannot be when the range is empty or its width overflows a float, when every
+    square underflows to 0, or when 0 lies outside the range and two squares already overflow.
+    """
+    low, high = float(low), float(high)
+    nearest = max(low, -high, 0.0)  # the smallest |reading| in the range
+    if not low <= high:
+        raise ConfigurationError(f"init_low={low}, init_high={high}: the range is empty")
+    if not math.isfinite(high - low):
+        raise ConfigurationError(f"init_low={low}, init_high={high}: its width overflows a float")
+    if max(low * low, high * high) == 0 or 2 * (nearest * nearest) == math.inf:
+        raise ConfigurationError(
+            f"init_low={low}, init_high={high}: every draw's squared norm is 0 or overflows"
+        )
+
+
 def draw_initial_state(
     n: int, low: float, high: float, rng: np.random.Generator
 ) -> np.ndarray:
     """I.i.d. uniform readings on [low, high], whose squared norm must be positive and finite.
 
-    The relative error divides by that norm, so a range whose width overflows a float, or readings
-    whose squared norm overflows or rounds to 0, are rejected as a bad init_low/init_high.
+    The relative error divides by that norm, so a range that ``check_init_range`` refuses, or
+    readings whose squared norm overflows or rounds to 0, are rejected as a bad init_low/init_high.
     """
-    if low > high:
-        raise ConfigurationError(f"init range is empty: init_low={low} > init_high={high}")
-    if not math.isfinite(float(high) - float(low)):
-        raise ConfigurationError(f"init_high - init_low overflows a float: [{low}, {high}]")
+    check_init_range(low, high)
     y = rng.uniform(low, high, size=n)
     with np.errstate(over="ignore"):
         norm = y @ y

@@ -1,8 +1,9 @@
 """Reference oracles that the tests compare the package against.
 
 The package ships only the pipeline. These are the plain per-candidate and per-run forms of what
-it computes in batch: one candidate's dense averaging matrix, their p-weighted sum W(p), one run
-simulated slot by slot, and the geometric error bound. ``xi`` is checked against the spectrum of
+it computes in batch: one candidate's per-node costs and total, one candidate's dense averaging
+matrix, their p-weighted sum W(p), one run simulated slot by slot, and the geometric error bound.
+``candidate_costs`` is checked against ``candidate_cost_l1``, ``xi`` against the spectrum of
 ``dense_mixing_matrix``, and ``monte_carlo`` against ``run_trial``.
 """
 
@@ -16,12 +17,52 @@ import numpy as np
 from clustergossip import (
     AveragedTrace,
     ClusterCandidate,
+    EnergyParams,
     SimulationScenario,
+    Topology,
     consensus_step,
     relative_error,
     sample_cluster,
+    transmission_energy,
 )
 from clustergossip.candidates import membership
+
+
+def cost_fc(
+    candidate: ClusterCandidate, topology: Topology, params: EnergyParams
+) -> np.ndarray:
+    """Per-node cost of the members-to-head phase.
+
+    Each non-head member pays one transmission over its squared distance to
+    the head; the head receives and pays nothing here; non-members are zero.
+    """
+    c = np.zeros(topology.n)
+    for m in candidate.members:
+        if m != candidate.head:
+            c[m] = transmission_energy(params, topology.d_sq[candidate.head, m])
+    return c
+
+
+def cost_bc(
+    candidate: ClusterCandidate, topology: Topology, params: EnergyParams
+) -> np.ndarray:
+    """Per-node cost of the head's broadcast phase.
+
+    A single nonzero entry at the head, sized by the maximum squared
+    distance from the head to any member.
+    """
+    c = np.zeros(topology.n)
+    idx = np.fromiter(candidate.members, dtype=int)
+    d_max = float(topology.d_sq[candidate.head, idx].max())
+    c[candidate.head] = transmission_energy(params, d_max)
+    return c
+
+
+def candidate_cost_l1(
+    candidate: ClusterCandidate, topology: Topology, params: EnergyParams
+) -> float:
+    """Total energy of one activation: both phases summed over all nodes."""
+    return float((cost_fc(candidate, topology, params) + cost_bc(candidate, topology, params)).sum())
 
 
 def build_weight_matrix(candidate: ClusterCandidate, n: int) -> np.ndarray:

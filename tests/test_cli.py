@@ -146,6 +146,13 @@ def test_size_max_refuses_a_topology_file(size_max):
         ({"alphas": [1e-5, 0.00001, 0.0, -0.0]}, "alphas"),
         ({"n_nodes": 2**64}, "n_nodes"),
         ({"n_nodes": 2**29 + 1}, "n_nodes"),
+        # Init ranges from which no draw can start; the message names both keys.
+        ({"init_low": -5e-324, "init_high": -0.0}, "init_low=.*init_high="),
+        ({"init_low": -0.0, "init_high": 2.2e-308}, "init_low=.*init_high="),
+        ({"init_low": 1e-200, "init_high": 1e-200}, "init_low=.*init_high="),
+        ({"init_low": 1.4e154, "init_high": 1.5e154}, "init_low=.*init_high="),
+        ({"init_low": -1.5e154, "init_high": -1.4e154}, "init_low=.*init_high="),
+        ({"init_low": -1.7e308, "init_high": 1.7e308}, "init_low=.*init_high="),
     ],
 )
 def test_config_rejections_name_the_key(overrides, key):
@@ -655,7 +662,7 @@ def test_initial_range_past_float_precision_exits_1(tmp_path, capsys):
     "overrides, code",
     [
         ({"alphas": [0.0, 1e300]}, EXIT_NUMERICAL_ERROR),
-        ({"init_low": 1e-200, "init_high": 1e-200}, EXIT_CONFIG_ERROR),
+        ({"init_low": -1e200, "init_high": 1e200}, EXIT_CONFIG_ERROR),
     ],
 )
 def test_failing_run_writes_nothing(tmp_path, overrides, code):

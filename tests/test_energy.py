@@ -9,14 +9,15 @@ from clustergossip import (
     EnergyParams,
     Topology,
     candidate_cost_l1,
-    cost_bc,
-    cost_fc,
+    enumerate_candidates,
     generate_topology,
     prune_dominated,
     transmission_energy,
 )
 import clustergossip.energy as energy
 from clustergossip.cli import prepare_pool
+import reference
+from reference import cost_bc, cost_fc
 
 
 def test_transmission_energy_defaults_is_squared_distance():
@@ -90,10 +91,30 @@ def test_broadcast_cost_coincident_cluster():
 def test_candidate_cost_l1_values(three_node_topology):
     params = EnergyParams()
     pair = ClusterCandidate(head=0, members=(0, 1))
-    assert candidate_cost_l1(pair, three_node_topology, params) == 50.0
     full = ClusterCandidate(head=0, members=(0, 1, 2))
-    # fan-in 25 + 100, broadcast 100
-    assert candidate_cost_l1(full, three_node_topology, params) == 225.0
+    for price in (candidate_cost_l1, reference.candidate_cost_l1):
+        assert price(pair, three_node_topology, params) == 50.0
+        # fan-in 25 + 100, broadcast 100
+        assert price(full, three_node_topology, params) == 225.0
+
+
+@pytest.mark.parametrize("params", [EnergyParams(), EnergyParams(2.0, 0.5, 3.0)])
+@pytest.mark.parametrize(
+    "topo",
+    [
+        generate_topology(30, 50.0, 7),  # the default config's field: 870 candidates
+        Topology(np.array([[i % 8, i // 8] for i in range(40)], dtype=float)),  # 1560
+    ],
+    ids=["default-field", "40-node-grid"],
+)
+def test_candidate_cost_l1_is_one_row_of_candidate_costs(topo, params):
+    """The package's one-candidate price is the pool pricing's row and the scalar oracle's total,
+    bit for bit, on every candidate of every size."""
+    enumerated = enumerate_candidates(topo, 2, topo.n)
+    assert len(enumerated) == topo.n * (topo.n - 1)
+    one_row = [candidate_cost_l1(c, topo, params) for c in enumerated]
+    assert one_row == energy.candidate_costs(enumerated, topo, params).tolist()
+    assert one_row == [reference.candidate_cost_l1(c, topo, params) for c in enumerated]
 
 
 def test_cost_vector_structure(three_node_topology):
@@ -120,7 +141,7 @@ def test_larger_cluster_never_cheaper():
     prev = None
     for size in range(2, 9):
         members = tuple(sorted([0] + order[: size - 1]))
-        cost = candidate_cost_l1(
+        cost = reference.candidate_cost_l1(
             ClusterCandidate(head=0, members=members), topo, params
         )
         if prev is not None:
@@ -142,7 +163,7 @@ def test_larger_cluster_never_cheaper():
 def test_prepare_pool_matches_scalar_oracles(
     seed, n, default, eps_amp, e_elec, k_bits, block, unset
 ):
-    """Vectorized pricing equals candidate_cost_l1, and the kept set equals
+    """Vectorized pricing equals the scalar candidate_cost_l1, and the kept set equals
     prune_dominated over the scalar costs, whatever the pricing block width.
     An unset size_max gives the same pool as size_max = n."""
     rng = np.random.default_rng(seed)
@@ -157,7 +178,7 @@ def test_prepare_pool_matches_scalar_oracles(
             assert enumerated == full[0]
             np.testing.assert_array_equal(costs, full[1])
             np.testing.assert_array_equal(kept, full[2])
-    scalar = np.array([candidate_cost_l1(c, topo, params) for c in enumerated])
+    scalar = np.array([reference.candidate_cost_l1(c, topo, params) for c in enumerated])
     if default:
         np.testing.assert_array_equal(costs, scalar)
     else:

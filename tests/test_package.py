@@ -22,10 +22,10 @@ MODULES = (candidates, energy, errors, optimizer, simulator, topology)
 PUBLIC = {
     "ActivationDistribution", "AveragedTrace", "ClusterCandidate", "ConfigurationError",
     "EnergyParams", "NumericalError", "OptimizerOptions", "SimulationScenario", "Topology",
-    "candidate_cost_l1", "consensus_step", "cost_bc", "cost_fc", "draw_initial_state",
-    "enumerate_candidates", "generate_topology", "load_topology", "mixing_matrix",
-    "monte_carlo", "objective_subgradient", "optimize", "project_simplex", "prune_dominated",
-    "relative_error", "sample_cluster", "squared_distance_matrix", "symmetric_top_eigenpair",
+    "candidate_cost_l1", "consensus_step", "draw_initial_state", "enumerate_candidates",
+    "generate_topology", "load_topology", "mixing_matrix", "monte_carlo",
+    "objective_subgradient", "optimize", "project_simplex", "prune_dominated", "relative_error",
+    "sample_cluster", "squared_distance_matrix", "symmetric_top_eigenpair",
     "transmission_energy", "xi",
 }
 
