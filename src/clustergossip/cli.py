@@ -21,7 +21,7 @@ import numpy as np
 from .candidates import ClusterCandidate, check_sizes, enumerate_candidates, prune_dominated
 from .energy import EnergyParams, candidate_costs
 from .errors import ConfigurationError, NumericalError, is_finite_number, read_json_object, show
-from .optimizer import MIN_EPSILON, OptimizerOptions, optimize
+from .optimizer import MIN_EPSILON, optimize
 from .simulator import AveragedTrace, SimulationScenario, check_init_range, monte_carlo
 from .topology import Topology, generate_topology, load_topology
 
@@ -208,8 +208,7 @@ def run_sweep(config: ExperimentConfig) -> int:
     summary: list[dict[str, Any]] = []
     traces: list[tuple[AveragedTrace, float]] = []
     for alpha in (float(a) + 0.0 for a in config.alphas):  # + 0.0: -0.0 is written as 0.0
-        options = OptimizerOptions(alpha=alpha, epsilon=config.epsilon)
-        result = optimize(kept, costs, topology.n, options)
+        result = optimize(kept, costs, topology.n, alpha=alpha, epsilon=config.epsilon)
         feasible = result.feasible  # an infeasible alpha is not simulated
         if feasible:
             scenario = SimulationScenario(
@@ -268,10 +267,6 @@ def _support(p: np.ndarray, kept: Sequence[Any]) -> list[dict[str, Any]]:
 def _cmd_run(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.output_dir is not None:
         config = replace(config, output_dir=args.output_dir)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
-        config = replace(config, sim_base_seed=args.seed)
     return run_sweep(config)
 
 
@@ -307,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", parents=[config], help="run the full alpha sweep and write outputs")
     run.add_argument("--output-dir", default=None, help="override output directory")
-    run.add_argument("--seed", type=int, default=None, help="override sim_base_seed")
     run.set_defaults(handler=_cmd_run)
     sub.add_parser(
         "validate", parents=[config], help="parse and constraint-check a config"

@@ -57,7 +57,6 @@ from .candidates import ClusterCandidate, membership, per_candidate
 from .errors import NumericalError, is_finite_number
 
 __all__ = [
-    "OptimizerOptions",
     "ActivationDistribution",
     "mixing_matrix",
     "xi",
@@ -87,26 +86,6 @@ _SIMPLEX_TOL = 1e-6
 # The smallest connectivity margin: a mixture that leaves a node fixed has xi = 1 exactly, but its
 # computed xi can read up to a few units of 1e-15 below 1, which a smaller margin would admit.
 MIN_EPSILON = 1e-12
-
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """Solver knobs.
-
-    Attributes:
-        alpha: weight of the energy regularizer, >= 0.
-        epsilon: connectivity margin in [MIN_EPSILON, 1); the result is
-            feasible when xi <= 1 - epsilon.
-    """
-
-    alpha: float = 0.0
-    epsilon: float = 1e-2
-
-    def __post_init__(self) -> None:
-        if not is_finite_number(self.alpha) or self.alpha < 0:
-            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha}")
-        if not MIN_EPSILON <= self.epsilon < 1:
-            raise ValueError(f"epsilon must lie in [{MIN_EPSILON}, 1), got {self.epsilon}")
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
@@ -271,9 +250,15 @@ def optimize(
     candidates: Sequence[ClusterCandidate],
     costs: Sequence[float],
     n: int,
-    options: OptimizerOptions,
+    *,
+    alpha: float = 0.0,
+    epsilon: float = 1e-2,
 ) -> ActivationDistribution:
     """Minimize ``xi(p) + alpha * |c(p)|_1`` over the candidate simplex.
+
+    ``alpha``, the energy weight, must be a finite number >= 0 and ``epsilon``, the connectivity
+    margin, a number in [MIN_EPSILON, 1); a bool is not a number. Either one broken raises
+    ValueError naming it, before the candidates and costs are checked.
 
     Only distributions that keep the whole network mixing count as
     solutions: the returned iterate must satisfy ``xi <= 1 - epsilon``.
@@ -297,6 +282,10 @@ def optimize(
     When no iterate meets the margin the result carries ``feasible=False``
     and describes the smallest-xi iterate instead.
     """
+    if not is_finite_number(alpha) or alpha < 0:
+        raise ValueError(f"alpha must be a finite number >= 0, got {alpha}")
+    if not is_finite_number(epsilon) or not MIN_EPSILON <= epsilon < 1:
+        raise ValueError(f"epsilon must lie in [{MIN_EPSILON}, 1), got {epsilon}")
     if len(candidates) == 0:
         raise ValueError("candidate list is empty")
     costs_arr = per_candidate(costs, candidates, "costs")
@@ -306,11 +295,10 @@ def optimize(
     c_count = len(candidates)
     members = membership(candidates, n)
     sizes = members.sum(axis=1)
-    alpha = options.alpha
     if not np.isfinite(float(alpha) * float(costs_arr.max())):  # Python floats overflow to inf
         raise NumericalError(f"alpha {alpha:g} times the candidate costs overflows a float")
     weighted_costs = alpha * costs_arr
-    margin = 1.0 - options.epsilon
+    margin = 1.0 - epsilon
 
     # A point's record is (key, p, xi, cost, g, j), keyed (0, obj) once p meets the margin and
     # (1, xi) before, so any margin-meeting point wins and the best key's flag + value never rises.

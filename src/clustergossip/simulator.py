@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import ClusterCandidate, membership, per_candidate
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 
 __all__ = [
     "SimulationScenario",
@@ -42,7 +42,8 @@ class SimulationScenario:
     """Everything a trial needs besides its random stream, checked when built.
 
     threshold > 0, max_iters >= 1, p a distribution and costs_l1 a cost per
-    candidate (both stored as float vectors), and every member in [0, n).
+    candidate (both stored as float vectors), every member in [0, n), and an
+    init_low/init_high range that ``check_init_range`` accepts.
     """
 
     candidates: tuple[ClusterCandidate, ...]
@@ -64,6 +65,7 @@ class SimulationScenario:
             object.__setattr__(self, name, per_candidate(getattr(self, name), self.candidates, name))
         _cumulative(self.p)
         membership(self.candidates, self.n)  # only for its member-range check
+        check_init_range(self.init_low, self.init_high)
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
@@ -160,20 +162,24 @@ def relative_error(y: np.ndarray, y0: np.ndarray) -> float:
     return float(eps @ eps) / denom
 
 
+@np.errstate(over="ignore")  # checked at the end, as non-finite sums
 def monte_carlo(
     scenario: SimulationScenario, runs: int, base_seed: int
 ) -> AveragedTrace:
     """Average independent trials, run r seeded with base_seed + r.
 
-    Each run draws its own initial state from its stream, then follows the path that the
-    per-run reference ``run_trial`` in tests/reference.py gives it. Runs advance together, slot
-    by slot, in chunks of ``_CHUNK_RUNS`` over one (C, width) member table, whose row i holds
-    candidate i's members, ascending, padded with n to the widest candidate's size; memory is
-    O(runs + chunk * n + slots + C * width). A finished run holds its final error and energy,
-    i.e. is right-extended as constants in the mean.
+    ``runs`` must be an int >= 1 and ``base_seed`` an int >= 0, neither a bool; otherwise a
+    ConfigurationError names the argument. Each run draws its own initial state from its stream,
+    then follows the path that the per-run reference ``run_trial`` in tests/reference.py gives
+    it. Runs advance together, slot by slot, in chunks of ``_CHUNK_RUNS`` over one (C, width)
+    member table, whose row i holds candidate i's members, ascending, padded with n to the widest
+    candidate's size; memory is O(runs + chunk * n + slots + C * width). A finished run holds
+    its final error and energy, i.e. is right-extended as constants in the mean. Energy sums
+    that overflow a float, which finite but huge costs_l1 can give, raise NumericalError.
     """
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs}")
+    for name, value, least in (("runs", runs, 1), ("base_seed", base_seed, 0)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
     cands, n, low, high = scenario.candidates, scenario.n, scenario.init_low, scenario.init_high
     size_of = np.array([cand.size for cand in cands])
     members = np.full((len(cands), size_of.max()), n)
@@ -229,12 +235,15 @@ def monte_carlo(
         finals.append(energy)
         terminated += len(rngs) - live.size
         del rngs, y, block  # so peak memory holds one chunk's streams and states, not two
+    mean_energy = float(np.mean(np.concatenate(finals)))
+    if not (np.isfinite(total).all() and math.isfinite(mean_energy)):
+        raise NumericalError("simulated energy sums overflow a float: lower the candidate costs")
     return AveragedTrace(
         mean_errors=total[0] / runs,
         mean_energies=total[1] / runs,
         runs=runs,
         terminated_runs=terminated,
         mean_iterations_to_threshold=float(np.mean(np.concatenate(iterations))),
-        mean_energy_at_threshold=float(np.mean(np.concatenate(finals))),
+        mean_energy_at_threshold=mean_energy,
     )
 

@@ -18,7 +18,6 @@ import pytest
 from clustergossip import (
     ClusterCandidate,
     EnergyParams,
-    OptimizerOptions,
     SimulationScenario,
     Topology,
     candidate_cost_l1,
@@ -60,7 +59,7 @@ def _sweep(topology, size_min, size_max, alphas):
     kept, costs = _prepared(topology, size_min, size_max)
     per_alpha = {}
     for alpha in alphas:
-        dist = optimize(kept, costs, topology.n, OptimizerOptions(alpha=alpha))
+        dist = optimize(kept, costs, topology.n, alpha=alpha)
         assert dist.feasible, f"alpha={alpha} unexpectedly infeasible"
         scenario = SimulationScenario(
             candidates=tuple(kept),
@@ -173,7 +172,7 @@ def test_criterion_03_grid_oracle_equivalence():
         xis, lin = _grid_xi_and_cost(candidates, costs, n, step=0.01)
         for alpha in (0.0, 1e-4):
             grid_best = float(np.min(xis + alpha * lin))
-            dist = optimize(candidates, costs, n, OptimizerOptions(alpha=alpha))
+            dist = optimize(candidates, costs, n, alpha=alpha)
             assert abs(dist.objective - grid_best) <= 1e-3, (
                 f"alpha={alpha}: optimizer {dist.objective} vs grid {grid_best}"
             )
@@ -301,7 +300,7 @@ def test_criterion_09_infeasible_split_field():
     far = rng.uniform(0.0, FIELD_SIDE, size=(15, 2)) + np.array([10 * FIELD_SIDE, 0.0])
     topology = Topology(np.vstack([near, far]))
     kept, costs = _prepared(topology, 2, 10)
-    dist = optimize(kept, costs, topology.n, OptimizerOptions(alpha=0.0))
+    dist = optimize(kept, costs, topology.n, alpha=0.0)
     assert dist.feasible is False
     assert dist.xi >= 1.0 - 1e-6
 

@@ -20,7 +20,6 @@ from clustergossip import (
 )
 from clustergossip.candidates import check_sizes
 from clustergossip.energy import candidate_costs
-from clustergossip.optimizer import OptimizerOptions
 from reference import build_weight_matrix, run_trial
 
 
@@ -202,7 +201,7 @@ def _scenario(cands):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda cands: optimize(cands, [1.0], 2, OptimizerOptions()),
+        lambda cands: optimize(cands, [1.0], 2),
         lambda cands: mixing_matrix(np.array([1.0]), cands, 2),
         lambda cands: xi(np.array([1.0]), cands, 2),
         lambda cands: objective_subgradient(np.array([1.0]), cands, [1.0], 0.0, 2),

@@ -401,7 +401,7 @@ def test_main_numerical_and_usage_exit_codes(tmp_path, monkeypatch, capsys):
     assert err.startswith("numerical error: ") and err.count("\n") == 1
 
     # argparse's own exit status 2 would read as EXIT_INFEASIBLE
-    assert main(["run", "--config", str(config_path), "--seed", "abc"]) == EXIT_CONFIG_ERROR
+    assert main(["run", "--config"]) == EXIT_CONFIG_ERROR  # --config without its path
     assert main(["run"]) == EXIT_CONFIG_ERROR
     assert "usage:" in capsys.readouterr().err
     assert main(["--help"]) == EXIT_OK
@@ -510,17 +510,7 @@ def test_summary_support_is_every_nonzero_probability(tmp_path, monkeypatch):
 def test_main_run_overrides(tmp_path):
     config_path = _write_config(tmp_path, alphas=[0.0], runs=5)
     override_dir = tmp_path / "elsewhere"
-    code = main(
-        [
-            "run",
-            "--config",
-            str(config_path),
-            "--output-dir",
-            str(override_dir),
-            "--seed",
-            "42",
-        ]
-    )
+    code = main(["run", "--config", str(config_path), "--output-dir", str(override_dir)])
     assert code == EXIT_OK
     assert (override_dir / "summary.json").is_file()
 
@@ -635,10 +625,19 @@ def test_summary_reports_terminated_runs(tmp_path):
     assert entry["terminated_runs"] is None
 
 
-def test_main_rejects_negative_seed(tmp_path, capsys):
+def test_main_run_has_no_seed_flag(tmp_path, capsys):
+    """The config's sim_base_seed is the one Monte-Carlo seed: --seed is a usage error."""
     config_path = _write_config(tmp_path, alphas=[0.0], runs=2)
-    assert main(["run", "--config", str(config_path), "--seed", "-1"]) == EXIT_CONFIG_ERROR
-    assert "--seed" in capsys.readouterr().err
+    assert main(["run", "--config", str(config_path), "--seed", "5"]) == EXIT_CONFIG_ERROR
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_energy_sums_past_float_precision_exit_4(tmp_path, capsys):
+    """Finite costs whose simulated energy sums overflow exit 4 and write nothing."""
+    path = _write_config(tmp_path, n_nodes=4, cluster_size_max=2, e_elec=1e307)
+    assert main(["run", "--config", str(path)]) == EXIT_NUMERICAL_ERROR
+    assert "energy sums overflow" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -20,7 +20,6 @@ from clustergossip import (
 from clustergossip import optimizer
 from clustergossip.candidates import membership
 from clustergossip.cli import ExperimentConfig, prepare_pool
-from clustergossip.optimizer import OptimizerOptions
 from reference import build_weight_matrix
 from test_acceptance import _draw_tiny_instance, _grid_xi_and_cost
 
@@ -319,7 +318,7 @@ def test_project_simplex_rejects_anything_but_a_finite_vector(v):
 
 
 def test_optimize_single_full_cluster():
-    r = optimize([FULL_3], np.array([225.0]), 3, OptimizerOptions(alpha=0.0))
+    r = optimize([FULL_3], np.array([225.0]), 3, alpha=0.0)
     np.testing.assert_array_equal(r.p, [1.0])
     assert r.xi <= 1e-12
     assert r.objective <= 1e-12
@@ -327,9 +326,7 @@ def test_optimize_single_full_cluster():
 
 
 def test_optimize_symmetric_two_pair():
-    r = optimize(
-        [PAIR_01, PAIR_12], np.array([50.0, 130.0]), 3, OptimizerOptions(alpha=0.0)
-    )
+    r = optimize([PAIR_01, PAIR_12], np.array([50.0, 130.0]), 3, alpha=0.0)
     assert r.feasible
     np.testing.assert_allclose(r.p, [0.5, 0.5], atol=1e-6)
     assert r.xi == pytest.approx(0.75, abs=1e-9)
@@ -344,7 +341,7 @@ def test_optimize_reports_infeasible_for_split_network():
     topo = Topology(np.vstack([a, b]))
     cands = enumerate_candidates(topo, 2, 4)
     costs = np.array([candidate_cost_l1(c, topo, EnergyParams()) for c in cands])
-    r = optimize(cands, costs, 8, OptimizerOptions(alpha=0.0))
+    r = optimize(cands, costs, 8, alpha=0.0)
     assert not r.feasible
     assert r.xi >= 1.0 - 1e-9
 
@@ -353,14 +350,13 @@ def test_optimize_not_worse_than_any_feasible_vertex():
     topo = generate_topology(8, 25.0, seed=6)
     cands = enumerate_candidates(topo, 2, 8)
     costs = np.array([candidate_cost_l1(c, topo, EnergyParams()) for c in cands])
-    opts = OptimizerOptions(alpha=5e-5)
-    r = optimize(cands, costs, 8, opts)
-    margin = 1.0 - opts.epsilon
+    r = optimize(cands, costs, 8, alpha=5e-5)
+    margin = 1.0 - 1e-2  # optimize's default epsilon
     for i, cand in enumerate(cands):
         e = np.zeros(len(cands))
         e[i] = 1.0
         if xi(e, cands, 8) <= margin:
-            vertex_obj = xi(e, cands, 8) + opts.alpha * costs[i]
+            vertex_obj = xi(e, cands, 8) + 5e-5 * costs[i]
             assert r.objective <= vertex_obj + 1e-6
 
 
@@ -371,7 +367,7 @@ def test_optimize_regularization_path_monotone():
     enumerated, all_costs, kept = prepare_pool(topo, 2, 10, EnergyParams())
     cands, costs = [enumerated[i] for i in kept], all_costs[kept]
     results = [
-        optimize(cands, costs, 10, OptimizerOptions(alpha=a))
+        optimize(cands, costs, 10, alpha=a)
         for a in (0.0, 5e-5, 2e-4)
     ]
     tol = 1e-3
@@ -384,8 +380,8 @@ def test_optimize_is_deterministic():
     topo = generate_topology(7, 20.0, seed=9)
     cands = enumerate_candidates(topo, 2, 7)
     costs = np.array([candidate_cost_l1(c, topo, EnergyParams()) for c in cands])
-    r1 = optimize(cands, costs, 7, OptimizerOptions(alpha=3e-5))
-    r2 = optimize(cands, costs, 7, OptimizerOptions(alpha=3e-5))
+    r1 = optimize(cands, costs, 7, alpha=3e-5)
+    r2 = optimize(cands, costs, 7, alpha=3e-5)
     np.testing.assert_array_equal(r1.p, r2.p)
     assert r1.xi == r2.xi and r1.objective == r2.objective
 
@@ -394,7 +390,7 @@ def test_optimize_cleans_tiny_support():
     topo = generate_topology(6, 15.0, seed=12)
     cands = enumerate_candidates(topo, 2, 6)
     costs = np.array([candidate_cost_l1(c, topo, EnergyParams()) for c in cands])
-    r = optimize(cands, costs, 6, OptimizerOptions(alpha=0.0))
+    r = optimize(cands, costs, 6, alpha=0.0)
     assert np.all((r.p == 0.0) | (r.p > 1e-6))
     assert np.sum(r.p) == pytest.approx(1.0, abs=1e-12)
 
@@ -403,7 +399,7 @@ def test_optimize_margin_meeting_point_beats_lower_scalar_progress():
     """The all-node cluster costs 1e6, so every point that meets the margin
     has an objective (~11) far above 1 plus any violating xi; it must still
     be returned, which one scalar key (obj or 1 + xi) would not guarantee."""
-    r = optimize([PAIR_01, FULL_3], [0.0, 1e6], 3, OptimizerOptions(alpha=1e-3))
+    r = optimize([PAIR_01, FULL_3], [0.0, 1e6], 3, alpha=1e-3)
     assert r.feasible
     assert r.xi == pytest.approx(0.99, abs=1e-3) and r.xi <= 0.99
     assert r.objective == pytest.approx(10.994, abs=1e-2)
@@ -411,29 +407,31 @@ def test_optimize_margin_meeting_point_beats_lower_scalar_progress():
 
 def test_optimize_rejects_empty_and_mismatched_inputs():
     with pytest.raises(ValueError):
-        optimize([], np.array([]), 3, OptimizerOptions())
+        optimize([], np.array([]), 3)
     with pytest.raises(ValueError):
-        optimize([FULL_3], np.array([1.0, 2.0]), 3, OptimizerOptions())
+        optimize([FULL_3], np.array([1.0, 2.0]), 3)
     for cost in (-1.0, np.nan):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            optimize([FULL_3], np.array([cost]), 3, OptimizerOptions())
+            optimize([FULL_3], np.array([cost]), 3)
     with pytest.raises(NumericalError, match="overflows"):
-        optimize([FULL_3], np.array([1e300]), 3, OptimizerOptions(alpha=1e10))
+        optimize([FULL_3], np.array([1e300]), 3, alpha=1e10)
 
 
-def test_optimizer_options_validation():
-    with pytest.raises(ValueError):
-        OptimizerOptions(epsilon=0.0)
-    with pytest.raises(ValueError):
-        OptimizerOptions(epsilon=1.0)
-    with pytest.raises(ValueError):
-        OptimizerOptions(alpha=-1e-3)
-    for alpha in (np.nan, np.inf, -np.inf):
+def test_optimize_rejects_bad_alpha_and_epsilon():
+    """alpha and epsilon are checked first, each by name: a bad scalar wins over an empty pool."""
+    for bad in ({"epsilon": 0.0}, {"epsilon": 1.0}, {"alpha": -1e-3}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            optimize([FULL_3], [1.0], 3, **bad)
+    for alpha in (np.nan, np.inf, -np.inf, "0.1", None, True, np.float32(1e-5)):
         with pytest.raises(ValueError, match="alpha"):
-            OptimizerOptions(alpha=alpha)
-    for epsilon in (1e-300, 1e-15):
+            optimize([FULL_3], [1.0], 3, alpha=alpha)
+    for epsilon in (1e-300, 1e-15, "0.1", None, True, np.float32(0.01)):
         with pytest.raises(ValueError, match="epsilon"):
-            OptimizerOptions(epsilon=epsilon)
+            optimize([FULL_3], [1.0], 3, epsilon=epsilon)
+    with pytest.raises(ValueError, match="alpha"):
+        optimize([], [], 3, alpha=-1.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        optimize([], [], 3, epsilon=0.0)
 
 
 def test_optimize_checks_every_eigenpair(monkeypatch):
@@ -448,7 +446,7 @@ def test_optimize_checks_every_eigenpair(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(NumericalError, match="residual"):
-        optimize([PAIR_01, PAIR_12], [1.0, 1.0], 3, OptimizerOptions())
+        optimize([PAIR_01, PAIR_12], [1.0, 1.0], 3)
 
 
 @given(
@@ -460,7 +458,7 @@ def test_optimize_huge_alpha_gives_a_result_or_numerical_error(alpha, costs):
     """Float precision may lose the simplex for a large alpha; that must end in
     NumericalError, never another exception or a point off the simplex."""
     try:
-        r = optimize([PAIR_01, PAIR_12, FULL_3], costs, 3, OptimizerOptions(alpha=alpha))
+        r = optimize([PAIR_01, PAIR_12, FULL_3], costs, 3, alpha=alpha)
     except NumericalError:
         return
     assert np.all(r.p >= 0.0) and r.p.sum() == pytest.approx(1.0, abs=1e-9)
@@ -472,7 +470,7 @@ def test_support_floor_never_breaks_the_margin(monkeypatch):
     xi at 0.99; a floor of 0.2 would zero it and disconnect node 2, so the
     unfloored best point is returned instead of an infeasible one."""
     monkeypatch.setattr(optimizer, "_SUPPORT_FLOOR", 0.2)
-    r = optimize([PAIR_01, FULL_3], [0.0, 1e6], 3, OptimizerOptions(alpha=1e-3))
+    r = optimize([PAIR_01, FULL_3], [0.0, 1e6], 3, alpha=1e-3)
     assert r.feasible and r.xi <= 0.99
     assert 0.0 < r.p[1] <= 0.2
     assert r.objective == pytest.approx(r.xi + 1e-3 * 1e6 * r.p[1], rel=1e-12)
@@ -484,16 +482,16 @@ def test_support_floor_that_zeroes_every_entry_keeps_the_largest(monkeypatch):
     which is returned; at margin 0.99 it is ~(0.99, 0.01) and the vertex is the pair (xi = 1),
     so the unfloored best point is returned."""
     pool, costs = [PAIR_01, FULL_3], [0.0, 1e6]
-    wide, narrow = OptimizerOptions(alpha=1e-3, epsilon=0.6), OptimizerOptions(alpha=1e-3)
-    unfloored_wide = optimize(pool, costs, 3, wide)
-    unfloored_narrow = optimize(pool, costs, 3, narrow)
+    wide, narrow = {"alpha": 1e-3, "epsilon": 0.6}, {"alpha": 1e-3}
+    unfloored_wide = optimize(pool, costs, 3, **wide)
+    unfloored_narrow = optimize(pool, costs, 3, **narrow)
     assert 0.5 < unfloored_wide.p[1] < 0.7  # so the vertex below is not the best point
     monkeypatch.setattr(optimizer, "_SUPPORT_FLOOR", 1.0)
 
-    r = optimize(pool, costs, 3, wide)
+    r = optimize(pool, costs, 3, **wide)
     assert r.feasible and r.p.tolist() == [0.0, 1.0] and r.xi == 0.0 and r.objective == 1e3
 
-    r = optimize(pool, costs, 3, narrow)
+    r = optimize(pool, costs, 3, **narrow)
     assert r.feasible and r.xi <= 0.99 and 0.0 < r.p[1] < 0.5
     assert r.p.tolist() == unfloored_narrow.p.tolist()
     assert r.objective == unfloored_narrow.objective
@@ -517,7 +515,7 @@ def _random_pool(seed, n_range, with_all_node):
 @settings(max_examples=8, deadline=None)
 def test_lower_bound_never_exceeds_the_objective(seed, with_all_node, alpha):
     cands, costs, n = _random_pool(seed, (3, 11), with_all_node)
-    r = optimize(cands, costs, n, OptimizerOptions(alpha=alpha))
+    r = optimize(cands, costs, n, alpha=alpha)
     assert r.lower_bound <= r.objective + 1e-12
     assert r.gap == (r.objective - r.lower_bound if r.feasible else None)
     assert 0 <= r.iterations <= optimizer._MAX_ITERS
@@ -535,7 +533,7 @@ def test_optimize_projects_once_per_step(monkeypatch, seed, alpha):
 
     monkeypatch.setattr(optimizer, "project_simplex", counted)
     cands, costs, n = _random_pool(seed, (3, 9), with_all_node=False)
-    r = optimize(cands, costs, n, OptimizerOptions(alpha=alpha))
+    r = optimize(cands, costs, n, alpha=alpha)
     assert r.iterations > 0 and len(calls) == r.iterations
 
 
@@ -547,7 +545,7 @@ def test_lower_bound_never_exceeds_the_grid_minimum():
         topology, candidates, costs = _draw_tiny_instance(rng)
         xis, lin = _grid_xi_and_cost(candidates, costs, topology.n, step=0.01)
         for alpha in (0.0, 1e-4):
-            r = optimize(candidates, costs, topology.n, OptimizerOptions(alpha=alpha))
+            r = optimize(candidates, costs, topology.n, alpha=alpha)
             assert r.lower_bound <= float(np.min(xis + alpha * lin)) + 1e-12
 
 
@@ -558,11 +556,11 @@ def test_certified_stop_returns_the_full_schedule_point(seed, alpha):
     """Where the bound certifies, running the whole schedule instead (a gap
     tolerance nothing meets) returns a byte-equal p."""
     cands, costs, n = _random_pool(seed, (3, 9), with_all_node=True)
-    certified = optimize(cands, costs, n, OptimizerOptions(alpha=alpha))
+    certified = optimize(cands, costs, n, alpha=alpha)
     assume(certified.gap <= optimizer._GAP_TOL * max(1.0, abs(certified.objective)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimizer, "_GAP_TOL", -np.inf)
-        full = optimize(cands, costs, n, OptimizerOptions(alpha=alpha))
+        full = optimize(cands, costs, n, alpha=alpha)
     assert full.iterations > certified.iterations
     assert full.p.tobytes() == certified.p.tobytes()
     assert (full.xi, full.objective) == (certified.xi, certified.objective)
@@ -577,7 +575,7 @@ def test_default_pool_certifies_the_first_two_alphas_at_the_start():
     )
     cands, costs = [enumerated[i] for i in kept], all_costs[kept]
     for alpha in config.alphas[:2]:
-        r = optimize(cands, costs, topo.n, OptimizerOptions(alpha=alpha, epsilon=config.epsilon))
+        r = optimize(cands, costs, topo.n, alpha=alpha, epsilon=config.epsilon)
         assert (r.iterations, r.gap) == (0, 0.0)
 
 
@@ -645,7 +643,7 @@ def test_wrong_warm_solve_falls_back_to_eigh_byte_for_byte():
     for solve in (wrong, zero, nan, singular):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.linalg, "solve", solve)
-            results.append(optimize(cands, costs, n, OptimizerOptions(alpha=1e-4)))
+            results.append(optimize(cands, costs, n, alpha=1e-4))
     *from_bad, from_eigh = results
     assert from_eigh.iterations > 0
     for result in from_bad:

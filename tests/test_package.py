@@ -21,7 +21,7 @@ MODULES = (candidates, energy, errors, optimizer, simulator, topology)
 
 PUBLIC = {
     "ActivationDistribution", "AveragedTrace", "ClusterCandidate", "ConfigurationError",
-    "EnergyParams", "NumericalError", "OptimizerOptions", "SimulationScenario", "Topology",
+    "EnergyParams", "NumericalError", "SimulationScenario", "Topology",
     "candidate_cost_l1", "consensus_step", "draw_initial_state", "enumerate_candidates",
     "generate_topology", "load_topology", "mixing_matrix", "monte_carlo",
     "objective_subgradient", "optimize", "project_simplex", "prune_dominated", "relative_error",

@@ -10,6 +10,7 @@ from clustergossip import (
     AveragedTrace,
     ClusterCandidate,
     ConfigurationError,
+    NumericalError,
     SimulationScenario,
     consensus_step,
     draw_initial_state,
@@ -587,8 +588,37 @@ def test_monte_carlo_matches_the_second_moment_recursion(seed):
         ({"threshold": float("nan")}, 5, ConfigurationError),
         ({"p": np.array([[0.5, 0.5]])}, 5, ValueError),  # the right size, but 2-D
         ({"candidates": (), "p": np.array([]), "costs_l1": np.array([])}, 5, ValueError),
+        ({}, True, ConfigurationError),  # a bool is not a run count
+        ({}, 2.5, ConfigurationError),
+        # finite costs whose energy overflows: one run's 30 slots of 1e307, or 20 runs of 30 of 1e306
+        ({"costs_l1": [1e307, 1e307]}, 20, NumericalError),
+        ({"costs_l1": [1e306, 1e306]}, 20, NumericalError),
     ],
 )
 def test_monte_carlo_rejects_bad_scenario(changes, runs, error):
     with pytest.raises(error):
         monte_carlo(replace(_symmetric_scenario(), **changes), runs, 0)
+
+
+@pytest.mark.parametrize("base_seed", [-1, True, 1.5])
+def test_monte_carlo_rejects_bad_base_seed(base_seed):
+    with pytest.raises(ConfigurationError, match="base_seed"):
+        monte_carlo(_symmetric_scenario(), 5, base_seed)
+
+
+@pytest.mark.parametrize("low,high", [(2.0, 1.0), (0.0, 0.0), (-1.7e308, 1.7e308)])
+def test_scenario_with_a_bad_initial_range_cannot_be_built(low, high):
+    """An empty, all-zero or overflowing initial range fails when the scenario is built."""
+    with pytest.raises(ConfigurationError, match="init_low=.*init_high="):
+        SimulationScenario(
+            candidates=(PAIR_01, PAIR_12),
+            costs_l1=[1.0, 1.0],
+            p=[0.5, 0.5],
+            n=3,
+            init_low=low,
+            init_high=high,
+            threshold=0.1,
+            max_iters=5,
+        )
+    with pytest.raises(ConfigurationError, match="init_low=.*init_high="):
+        replace(_symmetric_scenario(), init_low=low, init_high=high)
