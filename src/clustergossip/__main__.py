@@ -1,3 +1,3 @@
-from .cli import main
+from .config import main
 
 raise SystemExit(main())

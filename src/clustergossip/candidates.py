@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, show
+from .errors import check_sizes
 from .topology import Topology
 
 __all__ = [
@@ -48,22 +48,6 @@ class ClusterCandidate:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-def check_sizes(n: int, size_min: int, size_max: int | None) -> int:
-    """Reject sizes below 2, above n, or an empty range; return the largest size (n if None)."""
-    if size_min < 2:
-        raise ConfigurationError(f"cluster_size_min must be >= 2, got {show(size_min)}")
-    limit = f"cluster_size_max {show(size_max)}"
-    if size_max is None:
-        size_max, limit = n, f"the number of nodes ({show(n)})"
-    elif size_max > n:
-        raise ConfigurationError(
-            f"cluster_size_max must be <= number of nodes ({show(n)}), got {show(size_max)}"
-        )
-    if size_min > size_max:
-        raise ConfigurationError(f"cluster_size_min {show(size_min)} exceeds {limit}")
-    return size_max
 
 
 def enumerate_candidates(

@@ -1,6 +1,8 @@
-"""Shared by the package: exception types, number checks, how values print, the JSON file reader."""
+"""Shared by the package, and free of numpy: exception types, number checks, how values print,
+the JSON file reader, and the input rules that the config and the pipeline both apply."""
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,7 +38,9 @@ def read_json_object(path: str | Path, kind: str) -> dict:
     """The JSON object in the file at ``path``; anything else is an error naming the file kind."""
     p = Path(path)
     if not p.is_file():
-        raise ConfigurationError(f"{kind} file not found: {p}")
+        raise ConfigurationError(
+            f"{kind} file {p} is not a file" if p.exists() else f"{kind} file not found: {p}"
+        )
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer, too deep
@@ -44,3 +48,43 @@ def read_json_object(path: str | Path, kind: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigurationError(f"{kind} file {p} must contain a JSON object")
     return data
+
+
+# The smallest connectivity margin: a mixture that leaves a node fixed has xi = 1 exactly, but its
+# computed xi can read up to a few units of 1e-15 below 1, which a smaller margin would admit.
+MIN_EPSILON = 1e-12
+
+
+def check_sizes(n: int, size_min: int, size_max: int | None) -> int:
+    """Reject sizes below 2, above n, or an empty range; return the largest size (n if None)."""
+    if size_min < 2:
+        raise ConfigurationError(f"cluster_size_min must be >= 2, got {show(size_min)}")
+    limit = f"cluster_size_max {show(size_max)}"
+    if size_max is None:
+        size_max, limit = n, f"the number of nodes ({show(n)})"
+    elif size_max > n:
+        raise ConfigurationError(
+            f"cluster_size_max must be <= number of nodes ({show(n)}), got {show(size_max)}"
+        )
+    if size_min > size_max:
+        raise ConfigurationError(f"cluster_size_min {show(size_min)} exceeds {limit}")
+    return size_max
+
+
+def check_init_range(low: float, high: float) -> None:
+    """Refuse, naming init_low and init_high, a range from which no draw of n >= 2 readings starts.
+
+    The relative error divides by the readings' squared norm, so that norm must be positive and
+    finite. It cannot be when the range is empty or its width overflows a float, when every
+    square underflows to 0, or when 0 lies outside the range and two squares already overflow.
+    """
+    low, high = float(low), float(high)
+    nearest = max(low, -high, 0.0)  # the smallest |reading| in the range
+    if not low <= high:
+        raise ConfigurationError(f"init_low={low}, init_high={high}: the range is empty")
+    if not math.isfinite(high - low):
+        raise ConfigurationError(f"init_low={low}, init_high={high}: its width overflows a float")
+    if max(low * low, high * high) == 0 or 2 * (nearest * nearest) == math.inf:
+        raise ConfigurationError(
+            f"init_low={low}, init_high={high}: every draw's squared norm is 0 or overflows"
+        )

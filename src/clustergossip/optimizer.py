@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .candidates import ClusterCandidate, membership, per_candidate
-from .errors import NumericalError, is_finite_number
+from .errors import MIN_EPSILON, NumericalError, is_finite_number
 
 __all__ = [
     "ActivationDistribution",
@@ -83,9 +83,6 @@ _SUPPORT_FLOOR = 1e-6
 _GAP_TOL = 1e-9
 # How far from 1 the sum of a projected vector may drift before float precision has lost it.
 _SIMPLEX_TOL = 1e-6
-# The smallest connectivity margin: a mixture that leaves a node fixed has xi = 1 exactly, but its
-# computed xi can read up to a few units of 1e-15 below 1, which a smaller margin would admit.
-MIN_EPSILON = 1e-12
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity

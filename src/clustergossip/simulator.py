@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import ClusterCandidate, membership, per_candidate
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, check_init_range
 
 __all__ = [
     "SimulationScenario",
@@ -84,25 +84,6 @@ class AveragedTrace:
     terminated_runs: int
     mean_iterations_to_threshold: float
     mean_energy_at_threshold: float
-
-
-def check_init_range(low: float, high: float) -> None:
-    """Refuse, naming init_low and init_high, a range from which no draw of n >= 2 readings starts.
-
-    The relative error divides by the readings' squared norm, so that norm must be positive and
-    finite. It cannot be when the range is empty or its width overflows a float, when every
-    square underflows to 0, or when 0 lies outside the range and two squares already overflow.
-    """
-    low, high = float(low), float(high)
-    nearest = max(low, -high, 0.0)  # the smallest |reading| in the range
-    if not low <= high:
-        raise ConfigurationError(f"init_low={low}, init_high={high}: the range is empty")
-    if not math.isfinite(high - low):
-        raise ConfigurationError(f"init_low={low}, init_high={high}: its width overflows a float")
-    if max(low * low, high * high) == 0 or 2 * (nearest * nearest) == math.inf:
-        raise ConfigurationError(
-            f"init_low={low}, init_high={high}: every draw's squared norm is 0 or overflows"
-        )
 
 
 def draw_initial_state(

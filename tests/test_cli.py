@@ -223,11 +223,24 @@ def test_config_and_topology_files_share_one_reader(tmp_path, text, message):
 
 def test_size_too_long_for_str_exits_1_naming_the_key(tmp_path, monkeypatch, capsys):
     """JSON cannot carry such an integer, so the reader is replaced by one that returns it."""
-    monkeypatch.setattr(cli, "read_json_object", lambda path, kind: {"cluster_size_max": 10**5000})
+    monkeypatch.setattr(
+        "clustergossip.config.read_json_object", lambda path, kind: {"cluster_size_max": 10**5000}
+    )
     for command in ("validate", "run"):
         assert main([command, "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.startswith("configuration error: cluster_size_max ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_directory_is_not_a_file_exits_1(tmp_path, capsys, command):
+    """A config or topology path that names a directory is reported as not a file, not as missing."""
+    assert main([command, "--config", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"configuration error: config file {tmp_path} is not a file\n"
+    config_path = _write_config(tmp_path, topology_file=str(tmp_path))
+    assert main([command, "--config", str(config_path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"configuration error: topology file {tmp_path} is not a file\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_subcommand(tmp_path, capsys):
@@ -442,13 +455,80 @@ def test_out_of_memory_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys,
 def test_module_and_console_script_return_mains_exit_code():
     """``python -m clustergossip`` and the console script both exit with main's code."""
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-    assert 'clustergossip = "clustergossip.cli:main"' in pyproject
+    assert 'clustergossip = "clustergossip.config:main"' in pyproject
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     for argv, code in ((["--help"], EXIT_OK), (["bogus"], EXIT_CONFIG_ERROR)):
         done = subprocess.run(
             [sys.executable, "-m", "clustergossip", *argv], env=env, capture_output=True
         )
         assert done.returncode == code
+
+
+def _fresh_imports(argv, cwd):
+    """Exit code of ``python -X importtime -m clustergossip *argv`` and the modules it imported."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "clustergossip", *argv],
+        env=env, cwd=cwd, capture_output=True, text=True,
+    )
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return done.returncode, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+PIPELINE_MODULES = {
+    "numpy", *(f"clustergossip.{name}" for name in
+               ("cli", "candidates", "energy", "optimizer", "simulator", "topology")),
+}
+
+
+def test_front_end_starts_without_numpy(tmp_path):
+    """validate, --help, usage errors and config errors import neither numpy nor the pipeline."""
+    (tmp_path / "default.json").write_text("{}")
+    (tmp_path / "bad.json").write_text('{"runs": 0}')
+    for argv, code in (
+        (["validate", "--config", "default.json"], EXIT_OK),
+        (["--help"], EXIT_OK),
+        (["bogus"], EXIT_CONFIG_ERROR),
+        (["validate", "--config", "bad.json"], EXIT_CONFIG_ERROR),
+        (["run", "--config", "bad.json"], EXIT_CONFIG_ERROR),
+    ):
+        returncode, modules = _fresh_imports(argv, tmp_path)
+        assert returncode == code and "clustergossip.config" in modules, argv
+        assert modules & PIPELINE_MODULES == set(), argv
+
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"positions": [[0, 0], [1, 0], [0, 1]]}))
+    (tmp_path / "field-config.json").write_text(json.dumps({"topology_file": str(field)}))
+    returncode, modules = _fresh_imports(["validate", "--config", "field-config.json"], tmp_path)
+    assert returncode == EXIT_OK and {"numpy", "clustergossip.topology"} <= modules
+
+
+# The names perfbench/traced_cli.py wraps in clustergossip.cli. It also lists candidate_cost_l1,
+# which cli no longer imports, so the benchmark's pricing count reads 0; mending that belongs to
+# the benchmark (ROADMAP item 1), and the name is left out here.
+TRACED_IN_CLI = (
+    "generate_topology", "load_topology", "enumerate_candidates", "prune_dominated", "optimize",
+    "monte_carlo", "write_trace_csv", "write_summary_json",
+)
+
+
+def test_cli_keeps_the_names_the_benchmark_wraps(tmp_path, monkeypatch):
+    """Each traced name is a cli attribute looked up at call time; main and load_config
+    (which perfbench/micro.py imports from cli) are reachable there too."""
+    assert callable(cli.main) and callable(cli.load_config)
+    called = []
+    for name in TRACED_IN_CLI:
+        def wrapper(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            called.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"positions": generate_topology(8, 20.0, 3).positions.tolist()}))
+    for overrides in ({}, {"topology_file": str(field)}):
+        config_path = _write_config(tmp_path, alphas=[0.0], runs=5, **overrides)
+        assert cli.main(["run", "--config", str(config_path)]) == EXIT_OK
+    assert sorted(set(called)) == sorted(TRACED_IN_CLI)
 
 
 def test_summary_reports_bound_gap_and_iterations(tmp_path, monkeypatch):

@@ -1,6 +1,10 @@
 """The package's public names: the union of its modules' ``__all__`` lists, and nothing else."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +39,30 @@ def test_package_all_is_the_union_of_the_modules_all():
     assert len(names) == len(set(names))  # no name is public in two modules
     assert sorted(clustergossip.__all__) == sorted(names)
     assert set(clustergossip.__all__) == PUBLIC
+
+
+def test_import_loads_nothing_until_a_public_name_is_looked_up():
+    """``import clustergossip`` loads no submodule and no numpy; the first lookup, even of an
+    unknown name, loads the modules, and ``import *`` then gives exactly the public names."""
+    code = (
+        "import json, sys, clustergossip\n"
+        "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('clustergossip'))\n"
+        "unknown = hasattr(clustergossip, 'OptimizerOptions')\n"
+        "names = {}\n"
+        "exec('from clustergossip import *', names)\n"
+        "print(json.dumps([loaded, unknown, sorted(set(names) - {'__builtins__'})]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(clustergossip.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == [["clustergossip"], False, sorted(PUBLIC)]
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "OptimizerOptions", "_private", "__wrapped__"])
+def test_unknown_attribute_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+        getattr(clustergossip, name)
 
 
 def test_every_public_name_is_the_object_its_module_defines():
