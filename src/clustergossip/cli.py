@@ -8,26 +8,22 @@ summary. Outputs are byte-identical across runs of the same config.
 
 from __future__ import annotations
 
-import argparse
 import json
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
 from .candidates import ClusterCandidate, enumerate_candidates, prune_dominated
-from .config import (  # re-exported: callers, tests and the benchmark reach the front end here too
-    EXIT_CONFIG_ERROR, EXIT_INFEASIBLE, EXIT_INTERNAL_ERROR, EXIT_IO_ERROR, EXIT_NUMERICAL_ERROR,
-    EXIT_OK, ExperimentConfig, config_from_dict, load_config, main,
-)
+# load_config and main are re-exported: perfbench/micro.py and traced_cli.py read them from cli
+from .config import EXIT_INFEASIBLE, EXIT_OK, ExperimentConfig, load_config, main
 from .energy import EnergyParams, candidate_costs
 from .errors import ConfigurationError
 from .optimizer import optimize
 from .simulator import AveragedTrace, SimulationScenario, monte_carlo
 from .topology import Topology, generate_topology, load_topology
 
-__all__ = ["prepare_pool", "run_sweep", "write_trace_csv", "write_summary_json"]
+__all__ = ["prepare_pool", "run_sweep", "print_candidates", "write_trace_csv", "write_summary_json"]
 
 
 def _fmt(x: float) -> str:
@@ -151,13 +147,8 @@ def _support(p: np.ndarray, kept: Sequence[Any]) -> list[dict[str, Any]]:
     return rows
 
 
-def _cmd_run(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    if args.output_dir is not None:
-        config = replace(config, output_dir=args.output_dir)
-    return run_sweep(config)
-
-
-def _cmd_candidates(config: ExperimentConfig, args: argparse.Namespace) -> int:
+def print_candidates(config: ExperimentConfig) -> int:
+    """Print the config's candidate table, marking the kept ones; returns the exit code."""
     _, enumerated, costs, kept_indices = _config_pool(config)
     kept = set(kept_indices.tolist())
 

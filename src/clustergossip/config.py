@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -168,7 +167,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_validate(config, args)
         from . import cli  # numpy and the pipeline: only run and candidates need them
 
-        return (cli._cmd_run if args.command == "run" else cli._cmd_candidates)(config, args)
+        if args.command == "run" and args.output_dir is not None:  # replace checks the path
+            config = replace(config, output_dir=args.output_dir)
+        return (cli.run_sweep if args.command == "run" else cli.print_candidates)(config)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -182,6 +183,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
     except Exception as exc:  # a bug, not a bad input: keep the traceback, but not exit 1
+        import traceback  # only here: validate and the error exits start without it
+
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR

@@ -33,7 +33,8 @@ from clustergossip import (
     sample_cluster,
     xi,
 )
-from clustergossip.cli import EXIT_OK, config_from_dict, prepare_pool, run_sweep
+from clustergossip.cli import prepare_pool, run_sweep
+from clustergossip.config import EXIT_OK, config_from_dict
 from reference import build_weight_matrix, dense_mixing_matrix, mse_bound_check
 
 FIELD_NODES = 30

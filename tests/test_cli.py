@@ -22,7 +22,8 @@ from clustergossip import (
     load_topology,
     xi,
 )
-from clustergossip.cli import (
+from clustergossip.cli import prepare_pool, run_sweep, write_trace_csv
+from clustergossip.config import (
     EXIT_CONFIG_ERROR,
     EXIT_INFEASIBLE,
     EXIT_INTERNAL_ERROR,
@@ -33,9 +34,6 @@ from clustergossip.cli import (
     config_from_dict,
     load_config,
     main,
-    prepare_pool,
-    run_sweep,
-    write_trace_csv,
 )
 
 
@@ -593,6 +591,26 @@ def test_main_run_overrides(tmp_path):
     code = main(["run", "--config", str(config_path), "--output-dir", str(override_dir)])
     assert code == EXIT_OK
     assert (override_dir / "summary.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "command, output_dir, message",
+    [
+        ("run", "", "configuration error: config key 'output_dir': "),
+        ("run", "out\0put", "configuration error: config key 'output_dir': "),
+        ("candidates", "x", "unrecognized arguments: --output-dir x"),
+    ],
+)
+def test_output_dir_flag_is_checked_like_the_config_key(
+    tmp_path, capsys, command, output_dir, message
+):
+    """--output-dir passes the config's output_dir rules, and only run takes it."""
+    config_path = _write_config(tmp_path, alphas=[0.0], runs=2)
+    before = sorted(tmp_path.rglob("*"))
+    code = main([command, "--config", str(config_path), "--output-dir", output_dir])
+    assert code == EXIT_CONFIG_ERROR == 1
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_candidates_subcommand(tmp_path, capsys):
