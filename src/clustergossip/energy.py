@@ -5,8 +5,9 @@ One activation has two phases: members transmit simultaneously to the head
 broadcasts the result back, which must reach the farthest member. With the
 default parameters the energy of a single transmission is numerically the
 squared distance, so all energies are in abstract units. ``candidate_costs`` is
-the one pricing; tests check it against the per-node scalar forms in
-tests/reference.py.
+the one pricing and the one statement of the transmission formula; tests check
+it against the per-node scalar forms in tests/reference.py, which keeps its own
+copy of that formula.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ import numpy as np
 from .candidates import ClusterCandidate, membership
 from .topology import Topology
 
-__all__ = [
-    "EnergyParams",
-    "transmission_energy",
-    "candidate_cost_l1",
-]
+__all__ = ["EnergyParams", "candidate_cost_l1"]
 
 _PRICE_BLOCK = 1024
 
@@ -51,21 +48,6 @@ class EnergyParams:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def transmission_energy(
-    params: EnergyParams, d_sq: float | np.ndarray
-) -> float | np.ndarray:
-    """Energy of one point-to-point transmission over squared distance d_sq.
-
-    Sum of transmit circuitry, amplifier, and receive circuitry terms:
-    ``k*e_elec + eps_amp*k*d_sq + k*e_elec``, entry by entry for an array.
-    With default params this is just ``d_sq``.
-    """
-    if not np.all(np.asarray(d_sq) >= 0):
-        raise ValueError(f"squared distances must be >= 0, got minimum {np.min(d_sq)}")
-    k = params.k_bits
-    return k * params.e_elec + params.eps_amp * k * d_sq + k * params.e_elec
-
-
 def candidate_cost_l1(
     candidate: ClusterCandidate, topology: Topology, params: EnergyParams
 ) -> float:
@@ -81,16 +63,19 @@ def candidate_costs(
 ) -> np.ndarray:
     """Each candidate's total two-phase cost, shape (C,).
 
-    Each non-head member pays one transmission over its squared distance to the head (fan-in),
-    and the head pays one to its farthest member (broadcast). Priced ``_PRICE_BLOCK`` candidates
-    at a time, so the (C, n) per-node cost matrix never exists whole.
+    Each non-head member pays one transmission over its squared distance d_sq to the head
+    (fan-in), and the head pays one to its farthest member (broadcast). One transmission costs
+    ``k*e_elec + eps_amp*k*d_sq + k*e_elec``: transmit circuitry, amplifier and receive circuitry,
+    just ``d_sq`` with default params. Priced ``_PRICE_BLOCK`` candidates at a time, so the (C, n)
+    per-node cost matrix never exists whole.
     """
+    k, e_elec, eps_amp = params.k_bits, params.e_elec, params.eps_amp
     totals = [np.zeros(0)]
     for i in range(0, len(candidates), _PRICE_BLOCK):
         block = candidates[i : i + _PRICE_BLOCK]
         mask = membership(block, topology.n)  # checks every member, heads included
         heads = np.array([cand.head for cand in block], dtype=int)
-        rows = transmission_energy(params, topology.d_sq[heads]) * mask
+        rows = (k * e_elec + eps_amp * k * topology.d_sq[heads] + k * e_elec) * mask
         # Energy grows with distance, so the largest member entry is the broadcast.
         rows[np.arange(heads.size), heads] = rows.max(axis=1)
         totals.append(rows.sum(axis=1))

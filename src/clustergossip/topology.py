@@ -2,7 +2,8 @@
 
 Every other part of the pipeline (clustering, energy accounting, mixing
 analysis) reads the squared-distance matrix, so a topology computes it once
-from its positions and keeps it; nothing else can set it.
+from its positions, in its constructor, and keeps it; no other code computes
+or sets it.
 """
 
 from __future__ import annotations
@@ -14,26 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, is_finite_number, read_json_object
 
-__all__ = ["Topology", "squared_distance_matrix", "generate_topology", "load_topology"]
-
-
-def squared_distance_matrix(positions: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances between 2-D points.
-
-    Args:
-        positions: array of shape (n, 2), n >= 2.
-
-    Returns:
-        Symmetric (n, n) array with zero diagonal; entry (i, j) is
-        ``||x_i - x_j||^2``.
-    """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
-        raise ConfigurationError(
-            f"positions must have shape (n, 2) with n >= 2, got {pos.shape}"
-        )
-    diff = pos[:, None, :] - pos[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+__all__ = ["Topology", "generate_topology", "load_topology"]
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
@@ -55,7 +37,12 @@ class Topology:
         if not all(map(is_finite_number, entries.flat)):
             raise ConfigurationError("positions must all be finite numbers")
         pos = entries.astype(float)
-        d_sq = squared_distance_matrix(pos)
+        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
+            raise ConfigurationError(
+                f"positions must have shape (n, 2) with n >= 2, got {pos.shape}"
+            )
+        diff = pos[:, None, :] - pos[None, :, :]
+        d_sq = np.einsum("ijk,ijk->ij", diff, diff)  # entry (i, j) is ||x_i - x_j||^2
         for name, array in (("positions", pos), ("d_sq", d_sq)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)

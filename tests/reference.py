@@ -1,8 +1,9 @@
 """Reference oracles that the tests compare the package against.
 
 The package ships only the pipeline. These are the plain per-candidate and per-run forms of what
-it computes in batch: one candidate's per-node costs and total, one candidate's dense averaging
-matrix, their p-weighted sum W(p), one run simulated slot by slot, and the geometric error bound.
+it computes in batch: one transmission's energy, one candidate's per-node costs and total, one
+candidate's dense averaging matrix, their p-weighted sum W(p), one run simulated slot by slot,
+and the geometric error bound.
 ``candidate_costs`` is checked against ``candidate_cost_l1``, ``xi`` against the spectrum of
 ``dense_mixing_matrix``, and ``monte_carlo`` against ``run_trial``.
 """
@@ -23,9 +24,20 @@ from clustergossip import (
     consensus_step,
     relative_error,
     sample_cluster,
-    transmission_energy,
 )
 from clustergossip.candidates import membership
+
+
+def transmission_energy(params: EnergyParams, d_sq: float) -> float:
+    """Energy of one point-to-point transmission over squared distance d_sq.
+
+    Transmit circuitry, amplifier and receive circuitry: ``k*e_elec + eps_amp*k*d_sq + k*e_elec``,
+    which is just ``d_sq`` with default params.
+    """
+    if not d_sq >= 0:  # NaN too
+        raise ValueError(f"squared distances must be >= 0, got {d_sq}")
+    k = params.k_bits
+    return k * params.e_elec + params.eps_amp * k * d_sq + k * params.e_elec
 
 
 def cost_fc(

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import clustergossip.cli as cli
 from clustergossip import (
     AveragedTrace,
+    ClusterCandidate,
     ConfigurationError,
     EnergyParams,
     NumericalError,
@@ -343,6 +344,27 @@ def test_run_sweep_alpha_zero_prefers_all_node_cluster(tmp_path):
         e = np.zeros(len(kept))
         e[i] = 1.0
         assert entry["xi"] <= xi(e, kept, 8) + 1e-9
+
+
+def test_run_sweep_pins_the_certified_all_node_vertex(tmp_path):
+    """On the default config, alphas 0 and 4e-5 stop at their starting point, the all-node
+    cluster around head 7, with gap 0: the part of what ``run`` writes that rounding cannot move."""
+    config = config_from_dict({"alphas": [0.0, 4e-5], "output_dir": str(tmp_path / "out")})
+    assert run_sweep(config) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    for entry, objective in zip(summary, [0.0, 0.5403656359364035], strict=True):
+        assert entry["support"] == [{"head": 7, "members": list(range(30)), "probability": 1.0}]
+        assert (entry["xi"], entry["gap"], entry["iterations"]) == (0.0, 0.0, 0)
+        assert entry["objective"] == pytest.approx(objective, rel=0.0, abs=1e-12)
+        assert entry["expected_cost_l1"] == pytest.approx(13509.140898410087, rel=1e-12)
+
+
+def test_support_rows_tie_on_probability_by_head_then_members():
+    """Rows run by falling probability; equal ones by head, though member order disagrees here."""
+    kept = [ClusterCandidate(3, (0, 3)), ClusterCandidate(1, (1, 2)), ClusterCandidate(0, (0, 1))]
+    rows = cli._support(np.array([0.25, 0.25, 0.5]), kept)
+    order = [(row["head"], row["members"]) for row in rows]
+    assert order == [(0, [0, 1]), (1, [1, 2]), (3, [0, 3])]
 
 
 def test_run_sweep_outputs_are_byte_identical(tmp_path):

@@ -12,7 +12,6 @@ from clustergossip import (
     enumerate_candidates,
     generate_topology,
     prune_dominated,
-    transmission_energy,
 )
 import clustergossip.energy as energy
 from clustergossip.cli import prepare_pool
@@ -20,25 +19,28 @@ import reference
 from reference import cost_bc, cost_fc
 
 
+PAIR_3_4 = Topology(np.array([[0.0, 0.0], [3.0, 4.0]]))  # squared distance 25
+PAIR_CANDIDATES = [ClusterCandidate(head=h, members=(0, 1)) for h in (0, 1)]
+
+
 def test_transmission_energy_defaults_is_squared_distance():
-    assert transmission_energy(EnergyParams(), 25.0) == 25.0
-    assert transmission_energy(EnergyParams(), 0.0) == 0.0
+    # fan-in 25 + broadcast 25, from either head
+    costs = energy.candidate_costs(PAIR_CANDIDATES, PAIR_3_4, EnergyParams())
+    assert costs.tolist() == [50.0, 50.0]
 
 
 def test_transmission_energy_full_form():
-    # k*e_elec + eps_amp*k*d^2 + k*e_elec = 6 + 75 + 6
+    # one transmission: k*e_elec + eps_amp*k*d^2 + k*e_elec = 6 + 75 + 6 = 87; fan-in + broadcast
     params = EnergyParams(eps_amp=1.0, e_elec=2.0, k_bits=3.0)
-    assert transmission_energy(params, 25.0) == 87.0
+    assert energy.candidate_costs(PAIR_CANDIDATES, PAIR_3_4, params).tolist() == [174.0, 174.0]
 
 
-def test_transmission_energy_on_arrays():
+def test_oracle_transmission_energy_rejects_negative_and_nan():
     params = EnergyParams(eps_amp=1.0, e_elec=2.0, k_bits=3.0)
-    d_sq = np.array([[25.0, 0.0], [1.5, 7.0]])
-    expected = [[transmission_energy(params, float(d)) for d in row] for row in d_sq]
-    np.testing.assert_array_equal(transmission_energy(params, d_sq), expected)
-    for bad in (-1.0, np.array([1.0, -1e-300]), np.array([[0.0, np.nan]])):
+    assert reference.transmission_energy(params, 25.0) == 87.0
+    for bad in (-1.0, -1e-300, np.nan):
         with pytest.raises(ValueError, match="squared distances"):
-            transmission_energy(params, bad)
+            reference.transmission_energy(params, bad)
 
 
 def test_energy_params_reject_negative():

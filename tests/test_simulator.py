@@ -267,6 +267,17 @@ def test_monte_carlo_right_extends_finished_runs():
     )
 
 
+@pytest.mark.parametrize("seed", [0, 5, 123])
+def test_a_run_stops_once_its_error_falls_below_the_threshold(seed):
+    """The stop rule is strict: a run whose slot-0 error e0 equals the threshold is not done, and
+    the pair's average at slot 1 takes it below."""
+    pair = ClusterCandidate(head=0, members=(0, 1))
+    e0 = monte_carlo(_scenario([pair], [1.0], [1.0], 1e-300, 1, n=2), 1, seed).mean_errors[0]
+    assert e0 > 0.0
+    at_e0 = monte_carlo(_scenario([pair], [1.0], [1.0], float(e0), 1, n=2), 1, seed)
+    assert at_e0.mean_iterations_to_threshold == 1.0 and at_e0.terminated_runs == 1
+
+
 def test_monte_carlo_never_draws_a_zero_probability_candidate():
     """Only the p = 0 pair (2, 3) costs energy, and only it mixes node 3. One of these runs draws a
     uniform past sum(p) = 1 - 1e-6, which used to pick that pair."""

@@ -9,18 +9,17 @@ from clustergossip import (
     Topology,
     generate_topology,
     load_topology,
-    squared_distance_matrix,
 )
 
 
 def test_three_four_five_triangle():
-    d = squared_distance_matrix(np.array([[0.0, 0.0], [3.0, 4.0]]))
+    d = Topology(np.array([[0.0, 0.0], [3.0, 4.0]])).d_sq
     assert d[0, 1] == 25.0
     assert d[1, 0] == 25.0
 
 
 def test_coincident_points():
-    d = squared_distance_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    d = Topology(np.array([[1.0, 1.0], [1.0, 1.0]])).d_sq
     assert d[0, 1] == 0.0
 
 
@@ -76,11 +75,11 @@ coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 @settings(max_examples=60, deadline=None)
 def test_distance_matrix_properties(points, shift):
     pos = np.array(points, dtype=float)
-    d = squared_distance_matrix(pos)
+    d = Topology(pos).d_sq
     np.testing.assert_array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.all(d >= 0.0)
-    shifted = squared_distance_matrix(pos + np.array(shift))
+    shifted = Topology(pos + np.array(shift)).d_sq
     np.testing.assert_allclose(shifted, d, atol=1e-9 * (1.0 + np.abs(d).max()))
 
 
@@ -116,10 +115,20 @@ def test_load_topology_rejects_garbage(tmp_path):
         load_topology(path)
 
 
+def _per_pair_squared_distances(positions: np.ndarray) -> list[list[float]]:
+    """``(xi-xj)*(xi-xj) + (yi-yj)*(yi-yj)`` for every pair, one Python float at a time."""
+    points = positions.tolist()
+    return [
+        [(xi - xj) * (xi - xj) + (yi - yj) * (yi - yj) for xj, yj in points] for xi, yi in points
+    ]
+
+
 def test_topology_derives_d_sq_from_its_positions():
-    """d_sq is no constructor argument, so it cannot disagree with positions."""
+    """d_sq is no constructor argument, so it cannot disagree with positions: it is the per-pair
+    squared distances, bit for bit."""
     t = Topology([[0, 0], [3, 4], [10, 0]])
-    np.testing.assert_array_equal(t.d_sq, squared_distance_matrix(t.positions))
+    for field in (t, generate_topology(30, 50.0, 7)):
+        assert field.d_sq.tolist() == _per_pair_squared_distances(field.positions)
     assert t.positions.dtype == float
     assert not t.positions.flags.writeable and not t.d_sq.flags.writeable
     with pytest.raises(TypeError):
