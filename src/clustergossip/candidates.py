@@ -1,11 +1,11 @@
-"""Cluster candidate enumeration, the membership matrix, and dominance pruning.
+"""Cluster candidates: enumeration, the membership matrix, pricing, and dominance pruning.
 
-A candidate is a head node plus the cluster it would run: the head and its
-nearest neighbors by squared distance. Activating a candidate replaces the
-members' states by their in-cluster mean, which as a matrix is a symmetric
-averaging projector. Candidates with identical member sets produce the
-identical projector, so only the cheapest head per member set needs to
-survive pruning.
+A candidate is a head node plus the cluster it would run: the head and its nearest neighbors by
+squared distance. Activating a candidate replaces the members' states by their in-cluster mean,
+which as a matrix is a symmetric averaging projector, and costs the two-phase radio energy that
+``candidate_costs`` prices: members fan in to the head, then the head broadcasts to its farthest
+member. Candidates with identical member sets produce the identical projector, so only the
+cheapest head per member set needs to survive pruning.
 """
 
 from __future__ import annotations
@@ -20,9 +20,13 @@ from .topology import Topology
 
 __all__ = [
     "ClusterCandidate",
+    "EnergyParams",
+    "candidate_cost_l1",
     "enumerate_candidates",
     "prune_dominated",
 ]
+
+_PRICE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,71 @@ def per_candidate(values, candidates: Sequence[ClusterCandidate], name: str) -> 
     if array.shape != (len(candidates),):
         raise ValueError(f"{name}: shape {array.shape}, expected ({len(candidates)},)")
     return array
+
+
+def per_candidate_costs(values, candidates: Sequence[ClusterCandidate], name: str) -> np.ndarray:
+    """``per_candidate``, with every entry finite and nonnegative, else ValueError."""
+    costs = per_candidate(values, candidates, name)
+    if not np.all((0 <= costs) & (costs < np.inf)):  # NaN fails both
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return costs
+
+
+@dataclass(frozen=True)
+class EnergyParams:
+    """Radio energy parameters.
+
+    Attributes:
+        eps_amp: amplifier energy per bit per squared length unit.
+        e_elec: circuitry energy per bit, spent on both transmit and
+            receive ends. Defaults to 0, which drops the steady term and
+            leaves only amplifier energy.
+        k_bits: message length in bits.
+    """
+
+    eps_amp: float = 1.0
+    e_elec: float = 0.0
+    k_bits: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("eps_amp", "e_elec", "k_bits"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # NaN too
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def candidate_cost_l1(
+    candidate: ClusterCandidate, topology: Topology, params: EnergyParams
+) -> float:
+    """Total energy of one activation: the one-row case of ``candidate_costs``.
+
+    It stays only because perfbench/micro.py imports it; ROADMAP items 1 and 7 retire it.
+    """
+    return float(candidate_costs([candidate], topology, params)[0])
+
+
+def candidate_costs(
+    candidates: Sequence[ClusterCandidate], topology: Topology, params: EnergyParams
+) -> np.ndarray:
+    """Each candidate's total two-phase cost, shape (C,).
+
+    Each non-head member pays one transmission over its squared distance d_sq to the head
+    (fan-in), and the head pays one to its farthest member (broadcast). One transmission costs
+    ``k*e_elec + eps_amp*k*d_sq + k*e_elec``: transmit circuitry, amplifier and receive circuitry,
+    just ``d_sq`` with default params. Priced ``_PRICE_BLOCK`` candidates at a time, so the (C, n)
+    per-node cost matrix never exists whole.
+    """
+    k, e_elec, eps_amp = params.k_bits, params.e_elec, params.eps_amp
+    totals = [np.zeros(0)]
+    for i in range(0, len(candidates), _PRICE_BLOCK):
+        block = candidates[i : i + _PRICE_BLOCK]
+        mask = membership(block, topology.n)  # checks every member, heads included
+        heads = np.array([cand.head for cand in block], dtype=int)
+        rows = (k * e_elec + eps_amp * k * topology.d_sq[heads] + k * e_elec) * mask
+        # Energy grows with distance, so the largest member entry is the broadcast.
+        rows[np.arange(heads.size), heads] = rows.max(axis=1)
+        totals.append(rows.sum(axis=1))
+    return np.concatenate(totals)
 
 
 def prune_dominated(

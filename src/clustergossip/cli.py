@@ -1,6 +1,6 @@
 """The sweep driver and result serialization, behind ``config.main``'s ``run`` and ``candidates``.
 
-The driver enumerates and prunes candidates once, then for each
+The driver enumerates, prices and prunes candidates once, then for each
 regularization weight optimizes the activation distribution, simulates
 the resulting scheme, and writes one CSV trace per weight plus a JSON
 summary. Outputs are byte-identical across runs of the same config.
@@ -14,10 +14,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .candidates import ClusterCandidate, enumerate_candidates, prune_dominated
+from .candidates import (
+    ClusterCandidate, EnergyParams, candidate_costs, enumerate_candidates, prune_dominated,
+)
 # load_config and main are re-exported: perfbench/micro.py and traced_cli.py read them from cli
 from .config import EXIT_INFEASIBLE, EXIT_OK, ExperimentConfig, load_config, main
-from .energy import EnergyParams, candidate_costs
 from .errors import ConfigurationError
 from .optimizer import optimize
 from .simulator import AveragedTrace, SimulationScenario, monte_carlo

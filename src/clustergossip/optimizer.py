@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .candidates import ClusterCandidate, membership, per_candidate
+from .candidates import ClusterCandidate, membership, per_candidate, per_candidate_costs
 from .errors import MIN_EPSILON, NumericalError, is_finite_number
 
 __all__ = [
@@ -285,9 +285,7 @@ def optimize(
         raise ValueError(f"epsilon must lie in [{MIN_EPSILON}, 1), got {epsilon}")
     if len(candidates) == 0:
         raise ValueError("candidate list is empty")
-    costs_arr = per_candidate(costs, candidates, "costs")
-    if not np.all(np.isfinite(costs_arr)) or np.any(costs_arr < 0):
-        raise ValueError("costs must be finite and nonnegative")
+    costs_arr = per_candidate_costs(costs, candidates, "costs")
 
     c_count = len(candidates)
     members = membership(candidates, n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import ClusterCandidate, membership, per_candidate
+from .candidates import ClusterCandidate, membership, per_candidate, per_candidate_costs
 from .errors import ConfigurationError, NumericalError, check_init_range
 
 __all__ = [
@@ -41,7 +41,7 @@ _PADDED_WIDTH = 7
 class SimulationScenario:
     """Everything a trial needs besides its random stream, checked when built.
 
-    threshold > 0, max_iters >= 1, p a distribution and costs_l1 a cost per
+    threshold > 0, max_iters >= 1, p a distribution and costs_l1 a finite nonnegative cost per
     candidate (both stored as float vectors), every member in [0, n), and an
     init_low/init_high range that ``check_init_range`` accepts.
     """
@@ -61,8 +61,8 @@ class SimulationScenario:
             raise ConfigurationError(f"threshold must be positive, got {self.threshold}")
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-        for name in ("p", "costs_l1"):
-            object.__setattr__(self, name, per_candidate(getattr(self, name), self.candidates, name))
+        for name, check in (("p", per_candidate), ("costs_l1", per_candidate_costs)):
+            object.__setattr__(self, name, check(getattr(self, name), self.candidates, name))
         _cumulative(self.p)
         membership(self.candidates, self.n)  # only for its member-range check
         check_init_range(self.init_low, self.init_high)

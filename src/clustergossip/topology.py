@@ -59,8 +59,8 @@ def generate_topology(n: int, side: float, seed: int) -> Topology:
     """
     if n < 2:
         raise ConfigurationError(f"need at least 2 nodes, got n={n}")
-    if not side > 0:  # NaN too
-        raise ConfigurationError(f"field side must be positive, got {side}")
+    if not 0 < side < np.inf:  # NaN too
+        raise ConfigurationError(f"field side must be positive and finite, got {side}")
     rng = np.random.default_rng(seed)
     return Topology(rng.uniform(0.0, side, size=(n, 2)))
 

@@ -19,7 +19,7 @@ from clustergossip import (
     xi,
 )
 from clustergossip.candidates import check_sizes
-from clustergossip.energy import candidate_costs
+from clustergossip.candidates import candidate_costs
 from reference import build_weight_matrix, run_trial
 
 

@@ -497,7 +497,7 @@ def _fresh_imports(argv, cwd):
 
 PIPELINE_MODULES = {
     "numpy", *(f"clustergossip.{name}" for name in
-               ("cli", "candidates", "energy", "optimizer", "simulator", "topology")),
+               ("cli", "candidates", "optimizer", "simulator", "topology")),
 }
 
 

@@ -13,7 +13,7 @@ from clustergossip import (
     generate_topology,
     prune_dominated,
 )
-import clustergossip.energy as energy
+import clustergossip.candidates as candidates
 from clustergossip.cli import prepare_pool
 import reference
 from reference import cost_bc, cost_fc
@@ -25,14 +25,14 @@ PAIR_CANDIDATES = [ClusterCandidate(head=h, members=(0, 1)) for h in (0, 1)]
 
 def test_transmission_energy_defaults_is_squared_distance():
     # fan-in 25 + broadcast 25, from either head
-    costs = energy.candidate_costs(PAIR_CANDIDATES, PAIR_3_4, EnergyParams())
+    costs = candidates.candidate_costs(PAIR_CANDIDATES, PAIR_3_4, EnergyParams())
     assert costs.tolist() == [50.0, 50.0]
 
 
 def test_transmission_energy_full_form():
     # one transmission: k*e_elec + eps_amp*k*d^2 + k*e_elec = 6 + 75 + 6 = 87; fan-in + broadcast
     params = EnergyParams(eps_amp=1.0, e_elec=2.0, k_bits=3.0)
-    assert energy.candidate_costs(PAIR_CANDIDATES, PAIR_3_4, params).tolist() == [174.0, 174.0]
+    assert candidates.candidate_costs(PAIR_CANDIDATES, PAIR_3_4, params).tolist() == [174.0, 174.0]
 
 
 def test_oracle_transmission_energy_rejects_negative_and_nan():
@@ -50,6 +50,9 @@ def test_energy_params_reject_negative():
         EnergyParams(e_elec=-0.5)
     with pytest.raises(ValueError):
         EnergyParams(k_bits=-2.0)
+    for name in ("eps_amp", "e_elec", "k_bits"):  # inf * 0 would price a nonmember as NaN
+        with pytest.raises(ValueError, match=name):
+            EnergyParams(**{name: float("inf")})
 
 
 def test_fan_in_cost_pair(three_node_topology):
@@ -115,7 +118,7 @@ def test_candidate_cost_l1_is_one_row_of_candidate_costs(topo, params):
     enumerated = enumerate_candidates(topo, 2, topo.n)
     assert len(enumerated) == topo.n * (topo.n - 1)
     one_row = [candidate_cost_l1(c, topo, params) for c in enumerated]
-    assert one_row == energy.candidate_costs(enumerated, topo, params).tolist()
+    assert one_row == candidates.candidate_costs(enumerated, topo, params).tolist()
     assert one_row == [reference.candidate_cost_l1(c, topo, params) for c in enumerated]
 
 
@@ -158,7 +161,7 @@ def test_larger_cluster_never_cheaper():
     st.floats(0.0, 5.0),
     st.floats(0.0, 5.0),
     st.floats(0.0, 5.0),
-    st.sampled_from([1, 7, energy._PRICE_BLOCK]),
+    st.sampled_from([1, 7, candidates._PRICE_BLOCK]),
     st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
@@ -173,7 +176,7 @@ def test_prepare_pool_matches_scalar_oracles(
     params = EnergyParams() if default else EnergyParams(eps_amp, e_elec, k_bits)
     size_min = int(rng.integers(2, n + 1))
     size_max = None if unset else int(rng.integers(size_min, n + 1))
-    with mock.patch.object(energy, "_PRICE_BLOCK", block):
+    with mock.patch.object(candidates, "_PRICE_BLOCK", block):
         enumerated, costs, kept = prepare_pool(topo, size_min, size_max, params)
         if unset:
             full = prepare_pool(topo, size_min, n, params)

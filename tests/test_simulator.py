@@ -604,6 +604,10 @@ def test_monte_carlo_matches_the_second_moment_recursion(seed):
         # finite costs whose energy overflows: one run's 30 slots of 1e307, or 20 runs of 30 of 1e306
         ({"costs_l1": [1e307, 1e307]}, 20, NumericalError),
         ({"costs_l1": [1e306, 1e306]}, 20, NumericalError),
+        # a negative, NaN or infinite cost is refused when the scenario is built
+        ({"costs_l1": [-1.0, 1.0]}, 5, ValueError),
+        ({"costs_l1": [np.nan, 1.0]}, 5, ValueError),
+        ({"costs_l1": [np.inf, 1.0]}, 5, ValueError),
     ],
 )
 def test_monte_carlo_rejects_bad_scenario(changes, runs, error):

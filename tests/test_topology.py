@@ -58,7 +58,7 @@ def test_two_node_symmetry():
 
 
 @pytest.mark.parametrize(
-    "n,side", [(1, 10.0), (0, 10.0), (5, 0.0), (5, -1.0), (5, float("nan"))]
+    "n,side", [(1, 10.0), (0, 10.0), (5, 0.0), (5, -1.0), (5, float("nan")), (5, float("inf"))]
 )
 def test_generate_rejects_bad_parameters(n, side):
     with pytest.raises(ConfigurationError):
