@@ -11,6 +11,7 @@ cheapest head per member set needs to survive pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ class ClusterCandidate:
     Attributes:
         head: node index of the cluster head.
         members: sorted tuple of distinct node indices, head included.
+    A node index is an integer (numpy's too), never a bool.
     """
 
     head: int
@@ -44,6 +46,9 @@ class ClusterCandidate:
     def __post_init__(self) -> None:
         if len(self.members) < 2:
             raise ValueError(f"cluster needs at least 2 members, got {self.members}")
+        kinds = {type(self.head), *map(type, self.members)}  # one type check per distinct type
+        if not all(issubclass(kind, Integral) and kind is not bool for kind in kinds):
+            raise ValueError(f"node indices must be integers, got {self.head} and {self.members}")
         if tuple(sorted(set(self.members))) != self.members:
             raise ValueError(f"members must be sorted and distinct: {self.members}")
         if self.head not in self.members:
@@ -84,12 +89,17 @@ def enumerate_candidates(
     return out
 
 
+def check_members(candidates: Sequence[ClusterCandidate], n: int) -> None:
+    """ValueError unless every member lies in [0, n): the first and last of each sorted tuple."""
+    if not all(0 <= cand.members[0] and cand.members[-1] < n for cand in candidates):
+        raise ValueError(f"a candidate has a member outside [0, {n})")
+
+
 def membership(candidates: Sequence[ClusterCandidate], n: int) -> np.ndarray:
     """0/1 matrix of shape (C, n) whose row i marks candidate i's members, all in [0, n)."""
+    check_members(candidates, n)
     rows = np.repeat(np.arange(len(candidates)), [cand.size for cand in candidates])
     cols = np.array([j for cand in candidates for j in cand.members], dtype=int)
-    if cols.size and not 0 <= cols.min() <= cols.max() < n:
-        raise ValueError(f"a candidate has a member outside [0, {n})")
     m = np.zeros((len(candidates), n))
     m[rows, cols] = 1.0
     return m

@@ -25,14 +25,17 @@ s as ``(sum p) I - diag(M'p) + M' diag(p/s) M``, also off the simplex, from
 the rows of M where p is nonzero only: an iterate's support is typically
 well under half the pool.
 
-Eigensolves: every one is ``symmetric_top_eigenpair`` of W - J, which
-checks the matrix once (square, finite, symmetric). Inside ``optimize``,
-every evaluation after the first passes the previous evaluation's
-eigenvector as a start: lambda then comes from ``eigvalsh`` (the full
-spectrum, so lambda is certified to be the top eigenvalue) and the
-eigenvector from one or two solves of ``(W - J - (lambda + 1e-11) I) x =
-v_prev``, inverse iteration, each accepted on the residual check; without
-a start, or when no solve passes, the full dense decomposition decides.
+Eigensolves: every one is ``_deflated_top`` of W(p), which forms W - J,
+raises ValueError unless it is finite and symmetric to 1e-9, and clips its
+top eigenvalue to [0, 1] as xi. Inside ``optimize``, every evaluation
+after the first passes the previous evaluation's eigenvector as a start:
+lambda then comes from ``eigvalsh`` (the full spectrum, so lambda is
+certified to be the top eigenvalue) and the eigenvector from one or two
+solves of ``(W - J - (lambda + 1e-11) I) x = v_prev``, inverse iteration.
+A pair is accepted at a residual of at most max(1e-9, 1e-12 |lambda|),
+judged before the clip; without a start, or when no solve passes, the
+full dense decomposition decides, and its failed residual raises
+NumericalError.
 
 Certified stop (weak duality, Boyd & Vandenberghe, Convex Optimization,
 ch. 5): for any PSD Z with trace 1, ``lambda_max(W(p) - J) >= <Z, W(p) - J>``,
@@ -60,7 +63,6 @@ __all__ = [
     "ActivationDistribution",
     "mixing_matrix",
     "xi",
-    "symmetric_top_eigenpair",
     "objective_subgradient",
     "project_simplex",
     "optimize",
@@ -132,21 +134,11 @@ def mixing_matrix(
     return _mixture(p, members, members.sum(axis=1))
 
 
-def symmetric_top_eigenpair(
-    matrix: np.ndarray, start: np.ndarray | None = None
+def _deflated_top(
+    w: np.ndarray, n: int, start: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector of a symmetric matrix.
-
-    Raises ValueError when the input is not square, has a non-finite entry or is asymmetric beyond
-    1e-9. A pair is accepted only at a residual of at most max(1e-9, 1e-12 * |top|). With
-    ``start``, the eigenvalue comes from ``eigvalsh`` and the eigenvector from at most two solves
-    of ``(matrix - (top + 1e-11) I) x = start``, inverse iteration. Without it, or when no solve
-    is accepted, the pair comes from the full dense decomposition, and a failed residual there
-    raises NumericalError.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    """Top eigenvalue of W - J clipped to [0, 1] (xi), and its unit eigenvector; see above."""
+    a = w - 1.0 / n
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     if np.abs(a - a.T).max() > _ASYMMETRY_TOL:
@@ -154,7 +146,7 @@ def symmetric_top_eigenpair(
     if start is not None:
         top = float(np.linalg.eigvalsh(a)[-1])
         shifted = a.copy()
-        shifted.flat[:: a.shape[0] + 1] -= top + _WARM_SHIFT
+        shifted.flat[:: n + 1] -= top + _WARM_SHIFT
         for _ in range(_WARM_SOLVES):
             try:
                 start = np.linalg.solve(shifted, start)
@@ -166,7 +158,7 @@ def symmetric_top_eigenpair(
             start = start / norm
             r = a @ start - top * start
             if np.sqrt(r @ r) <= max(_RESIDUAL_TOL, 1e-12 * abs(top)):
-                return top, start
+                return min(max(top, 0.0), 1.0), start
     eigenvalues, eigenvectors = np.linalg.eigh(a)
     top = float(eigenvalues[-1])
     vec = eigenvectors[:, -1]
@@ -174,23 +166,21 @@ def symmetric_top_eigenpair(
     residual, tolerance = float(np.sqrt(r @ r)), max(_RESIDUAL_TOL, 1e-12 * abs(top))
     if not residual <= tolerance:  # a NaN residual fails too
         raise NumericalError(f"eigenpair residual {residual} exceeds tolerance {tolerance:g}")
-    return top, vec
+    return min(max(top, 0.0), 1.0), vec
 
 
-def _deflated_top(
-    w: np.ndarray, n: int, start: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
-    """Top eigenvalue of W - J clipped to [0, 1] (xi), and its unit eigenvector."""
-    top, v = symmetric_top_eigenpair(w - 1.0 / n, start)
-    return min(max(top, 0.0), 1.0), v
+def _checked_costs(costs, candidates: Sequence[ClusterCandidate], alpha: float) -> np.ndarray:
+    """``costs`` as a float vector, once they and ``alpha`` pass the rules ``optimize`` states."""
+    if not is_finite_number(alpha) or alpha < 0:
+        raise ValueError(f"alpha must be a finite number >= 0, got {alpha}")
+    costs_arr = per_candidate_costs(costs, candidates, "costs")
+    if not np.isfinite(float(alpha) * float(costs_arr.max(initial=0.0))):  # no numpy warning
+        raise NumericalError(f"alpha {alpha:g} times the candidate costs overflows a float")
+    return costs_arr
 
 
 def xi(p: np.ndarray, candidates: Sequence[ClusterCandidate], n: int) -> float:
-    """Second-largest eigenvalue of W(p), clipped to [0, 1].
-
-    Computed as the largest eigenvalue of W(p) - J, which deflates the
-    always-present top eigenpair of W(p).
-    """
+    """Second-largest eigenvalue of W(p), clipped to [0, 1]: the largest of W(p) - J."""
     return _deflated_top(mixing_matrix(p, candidates, n), n)[0]
 
 
@@ -206,10 +196,10 @@ def objective_subgradient(
     Coordinate i is ``v' W_i v + alpha * cost_i`` with v the unit top
     eigenvector of W(p) - J. At a simple top eigenvalue this is the exact
     gradient; under multiplicity any top eigenvector still gives a valid
-    subgradient.
+    subgradient. ``alpha`` and ``costs`` follow the rules ``optimize`` applies to them.
     """
     p = per_candidate(p, candidates, "p")
-    costs_arr = per_candidate(costs, candidates, "costs")
+    costs_arr = _checked_costs(costs, candidates, alpha)
     members = membership(candidates, n)
     sizes = members.sum(axis=1)
     _, v = _deflated_top(_mixture(p, members, sizes), n)
@@ -255,7 +245,9 @@ def optimize(
 
     ``alpha``, the energy weight, must be a finite number >= 0 and ``epsilon``, the connectivity
     margin, a number in [MIN_EPSILON, 1); a bool is not a number. Either one broken raises
-    ValueError naming it, before the candidates and costs are checked.
+    ValueError naming it (epsilon first), before the candidates and costs are checked. The costs
+    must be finite and nonnegative, and alpha times the largest of them finite (else
+    NumericalError); ``objective_subgradient`` applies the same alpha and cost rules.
 
     Only distributions that keep the whole network mixing count as
     solutions: the returned iterate must satisfy ``xi <= 1 - epsilon``.
@@ -279,19 +271,15 @@ def optimize(
     When no iterate meets the margin the result carries ``feasible=False``
     and describes the smallest-xi iterate instead.
     """
-    if not is_finite_number(alpha) or alpha < 0:
-        raise ValueError(f"alpha must be a finite number >= 0, got {alpha}")
     if not is_finite_number(epsilon) or not MIN_EPSILON <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [{MIN_EPSILON}, 1), got {epsilon}")
+    costs_arr = _checked_costs(costs, candidates, alpha)
     if len(candidates) == 0:
         raise ValueError("candidate list is empty")
-    costs_arr = per_candidate_costs(costs, candidates, "costs")
 
     c_count = len(candidates)
     members = membership(candidates, n)
     sizes = members.sum(axis=1)
-    if not np.isfinite(float(alpha) * float(costs_arr.max())):  # Python floats overflow to inf
-        raise NumericalError(f"alpha {alpha:g} times the candidate costs overflows a float")
     weighted_costs = alpha * costs_arr
     margin = 1.0 - epsilon
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import ClusterCandidate, membership, per_candidate, per_candidate_costs
+from .candidates import ClusterCandidate, check_members, per_candidate, per_candidate_costs
 from .errors import ConfigurationError, NumericalError, check_init_range
 
 __all__ = [
@@ -64,7 +64,7 @@ class SimulationScenario:
         for name, check in (("p", per_candidate), ("costs_l1", per_candidate_costs)):
             object.__setattr__(self, name, check(getattr(self, name), self.candidates, name))
         _cumulative(self.p)
-        membership(self.candidates, self.n)  # only for its member-range check
+        check_members(self.candidates, self.n)
         check_init_range(self.init_low, self.init_high)
 
 
@@ -124,6 +124,7 @@ def sample_cluster(p: np.ndarray, rng: np.random.Generator) -> int:
 def consensus_step(y: np.ndarray, candidate: ClusterCandidate) -> np.ndarray:
     """A float copy of the readings y with the members' readings replaced by their cluster mean."""
     y = np.array(y, dtype=float)
+    check_members([candidate], len(y))
     idx = np.fromiter(candidate.members, dtype=int)
     y[idx] = y[idx].mean()
     return y

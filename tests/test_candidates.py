@@ -9,6 +9,7 @@ from clustergossip import (
     SimulationScenario,
     Topology,
     candidate_cost_l1,
+    consensus_step,
     enumerate_candidates,
     generate_topology,
     mixing_matrix,
@@ -25,6 +26,7 @@ from reference import build_weight_matrix, run_trial
 
 def test_candidate_validation():
     ClusterCandidate(head=0, members=(0, 1))
+    ClusterCandidate(head=np.int64(0), members=(np.int32(0), np.int64(1)))  # numpy integers
     with pytest.raises(ValueError):
         ClusterCandidate(head=2, members=(0, 1))  # head outside members
     with pytest.raises(ValueError):
@@ -33,6 +35,9 @@ def test_candidate_validation():
         ClusterCandidate(head=0, members=(0, 0, 1))  # duplicate member
     with pytest.raises(ValueError):
         ClusterCandidate(head=0, members=(1, 0))  # not sorted
+    for head, members in ((0, (0, 1.5)), (0, (0.0, 1)), (1, (False, 1)), (True, (0, 1))):
+        with pytest.raises(ValueError, match="integers"):  # a float or bool node index
+            ClusterCandidate(head=head, members=members)
 
 
 def test_full_range_count_is_n_minus_1_times_n(three_node_topology):
@@ -209,10 +214,11 @@ def _scenario(cands):
         lambda cands: build_weight_matrix(cands[0], 2),
         lambda cands: run_trial(_scenario(cands), np.array([0.0, 30.0]), np.random.default_rng(0)),
         lambda cands: monte_carlo(_scenario(cands), 1, 0),
+        lambda cands: consensus_step(np.array([0.0, 30.0]), cands[0]),
     ],
     ids=[
         "optimize", "mixing_matrix", "xi", "objective_subgradient", "candidate_costs",
-        "build_weight_matrix", "run_trial", "monte_carlo",
+        "build_weight_matrix", "run_trial", "monte_carlo", "consensus_step",
     ],
 )
 @pytest.mark.parametrize("head,members", [(0, (0, 1, 2)), (2, (0, 1, 2)), (-1, (-1, 0))])

@@ -14,7 +14,6 @@ from clustergossip import (
     objective_subgradient,
     optimize,
     project_simplex,
-    symmetric_top_eigenpair,
     xi,
 )
 from clustergossip import optimizer
@@ -140,25 +139,36 @@ def test_factored_model_matches_dense_oracle(seed, n, scale, zero_share):
 
 
 def test_top_eigenpair_identity():
-    lam, v = symmetric_top_eigenpair(np.eye(4))
+    """W = I leaves every node alone: W - J has top eigenvalue 1 on the vectors orthogonal to 1."""
+    lam, v = optimizer._deflated_top(np.eye(4), 4)
     assert lam == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert abs(v.sum()) <= 1e-12
 
 
 def test_top_eigenpair_diagonal():
-    lam, v = symmetric_top_eigenpair(np.diag([3.0, 1.0, 2.0]))
-    assert lam == pytest.approx(3.0, abs=1e-12)
-    np.testing.assert_allclose(np.abs(v), [1.0, 0.0, 0.0], atol=1e-12)
+    """W = J + D makes W - J the diagonal D; its top eigenvalue is clipped to [0, 1]."""
+    for diagonal, top, vector in (
+        ([0.9, 0.2, 0.5], 0.9, [1.0, 0.0, 0.0]),
+        ([3.0, 1.0, 2.0], 1.0, [1.0, 0.0, 0.0]),
+        ([-3.0, -1.0, -2.0], 0.0, [0.0, 1.0, 0.0]),
+    ):
+        lam, v = optimizer._deflated_top(np.diag(diagonal) + 1.0 / 3, 3)
+        assert lam == pytest.approx(top, abs=1e-12)
+        np.testing.assert_allclose(np.abs(v), vector, atol=1e-12)
 
 
 def test_top_eigenpair_residual_and_rayleigh():
+    """On a random W(p), the pair solves W - J to 1e-9, and no unit vector has a larger
+    Rayleigh quotient of W - J."""
     rng = np.random.default_rng(5)
-    a = rng.normal(size=(6, 6))
-    a = (a + a.T) / 2.0
-    lam, v = symmetric_top_eigenpair(a)
+    cands, _, n = _random_pool(5, (6, 7), with_all_node=False)
+    w = mixing_matrix(rng.dirichlet(np.ones(len(cands))), cands, n)
+    a = w - 1.0 / n
+    lam, v = optimizer._deflated_top(w, n)
     assert np.linalg.norm(a @ v - lam * v) <= 1e-9
     for _ in range(20):
-        probe = rng.normal(size=6)
+        probe = rng.normal(size=n)
         probe /= np.linalg.norm(probe)
         assert lam >= float(probe @ a @ probe) - 1e-12
 
@@ -167,26 +177,18 @@ def test_top_eigenpair_rejects_asymmetric():
     """Without a start and with one (the warm-started path)."""
     for start in (None, np.ones(2)):
         with pytest.raises(ValueError, match="not symmetric"):
-            symmetric_top_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]), start)
+            optimizer._deflated_top(np.array([[0.0, 1.0], [0.0, 0.0]]), 2, start)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_top_eigenpair_rejects_non_finite_entries(bad):
     """A ValueError before LAPACK or the symmetry check sees the entry, by both
     the full decomposition and the warm-started path."""
-    a = np.eye(3)
-    a[0, 1] = a[1, 0] = bad
+    w = np.eye(3)
+    w[0, 1] = w[1, 0] = bad
     for start in (None, np.ones(3)):
         with pytest.raises(ValueError, match="non-finite"):
-            symmetric_top_eigenpair(a, start)
-
-
-@pytest.mark.parametrize("shape", [(2, 3), (3,)])
-def test_top_eigenpair_rejects_a_non_square_matrix(shape):
-    """Without a start and with one (the warm-started path)."""
-    for start in (None, np.ones(shape[0])):
-        with pytest.raises(ValueError, match="square"):
-            symmetric_top_eigenpair(np.ones(shape), start)
+            optimizer._deflated_top(w, 3, start)
 
 
 def test_xi_and_subgradient_reject_a_nan_probability():
@@ -198,7 +200,8 @@ def test_xi_and_subgradient_reject_a_nan_probability():
 
 
 def test_top_eigenpair_residual_message_prints_the_tolerance_applied(monkeypatch):
-    """At |top| = 1e4 the tolerance is 1e-12 * 1e4 = 1e-8, not the 1e-9 floor."""
+    """At |top| = 1e4 the tolerance is 1e-12 * 1e4 = 1e-8, not the 1e-9 floor: the residual
+    is judged on the eigenvalue before it is clipped to 1."""
     eigh = np.linalg.eigh
 
     def perturbed(a):
@@ -208,7 +211,7 @@ def test_top_eigenpair_residual_message_prints_the_tolerance_applied(monkeypatch
 
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(NumericalError, match=r"exceeds tolerance 1e-08$"):
-        symmetric_top_eigenpair(np.diag([1e4, 1.0, 2.0]))
+        optimizer._deflated_top(np.diag([1e4, 1.0, 2.0]) + 1.0 / 3, 3)
 
 
 def test_subgradient_symmetric_two_pair():
@@ -229,6 +232,28 @@ def test_subgradient_symmetric_two_pair():
 def test_subgradient_rejects_wrong_lengths(p, costs, name):
     with pytest.raises(ValueError, match=rf"^{name}: shape .*, expected \(2,\)"):
         objective_subgradient(p, [PAIR_01, PAIR_12], costs, 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "alpha,costs,error,match",
+    [
+        (np.nan, [1.0, 1.0], ValueError, "alpha"),
+        (np.inf, [1.0, 1.0], ValueError, "alpha"),
+        (-1.0, [1.0, 1.0], ValueError, "alpha"),
+        (True, [1.0, 1.0], ValueError, "alpha"),
+        (1e-3, [np.nan, 1.0], ValueError, "finite and nonnegative"),
+        (1e-3, [-5.0, 1.0], ValueError, "finite and nonnegative"),
+        (1e10, [1e300, 1.0], NumericalError, "overflows"),
+    ],
+    ids=["nan alpha", "inf alpha", "negative alpha", "bool alpha", "nan cost", "negative cost",
+         "overflow"],
+)
+def test_subgradient_rejects_what_optimize_rejects(alpha, costs, error, match):
+    """objective_subgradient applies optimize's alpha and cost rules, with the same exception."""
+    with pytest.raises(error, match=match):
+        optimize([PAIR_01, PAIR_12], costs, 3, alpha=alpha)
+    with pytest.raises(error, match=match):
+        objective_subgradient(np.array([0.5, 0.5]), [PAIR_01, PAIR_12], costs, alpha, 3)
 
 
 def test_subgradient_regularizer_is_additive():
@@ -585,8 +610,9 @@ def test_default_pool_certifies_the_first_two_alphas_at_the_start():
 )
 @settings(max_examples=40, deadline=None)
 def test_warm_eigenpair_matches_eigh(seed, case):
-    """The warm-started eigenpair of W(p) - J agrees with eigh; a start with no
-    component in the top eigenspace takes the eigh fallback."""
+    """The warm-started eigenpair of W(p) - J agrees with eigh (xi is in [0, 1] for every
+    simplex p, so the clip moves it by rounding at most); a start with no component in the top
+    eigenspace takes the eigh fallback."""
     rng = np.random.default_rng(seed)
     cands, _, n = _random_pool(seed, (4, 13), with_all_node=True)
     members = membership(cands, n)
@@ -599,7 +625,8 @@ def test_warm_eigenpair_matches_eigh(seed, case):
         start = rng.normal(size=n)
     elif case == "repeated top":  # one pair alone leaves n - 2 nodes fixed: top 1, n - 2 times
         p = np.eye(1, len(cands), int(np.argmin(sizes)))[0]
-    a = optimizer._mixture(p, members, sizes) - 1.0 / n
+    w = optimizer._mixture(p, members, sizes)
+    a = w - 1.0 / n
     values, vectors = np.linalg.eigh(a)
     if case == "orthogonal start":
         assume(values[-1] - values[-2] > 1e-6)
@@ -613,7 +640,7 @@ def test_warm_eigenpair_matches_eigh(seed, case):
     with pytest.MonkeyPatch.context() as patch:
         eigh = np.linalg.eigh
         patch.setattr(np.linalg, "eigh", lambda m: fallbacks.append(m) or eigh(m))
-        top, v = symmetric_top_eigenpair(a, start)
+        top, v = optimizer._deflated_top(w, n, start)
     assert abs(top - values[-1]) <= 1e-12
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(a @ v - top * v) <= 1e-9

@@ -29,7 +29,7 @@ PUBLIC = {
     "candidate_cost_l1", "consensus_step", "draw_initial_state", "enumerate_candidates",
     "generate_topology", "load_topology", "mixing_matrix", "monte_carlo",
     "objective_subgradient", "optimize", "project_simplex", "prune_dominated", "relative_error",
-    "sample_cluster", "symmetric_top_eigenpair", "xi",
+    "sample_cluster", "xi",
 }
 
 
