@@ -90,19 +90,23 @@ def enumerate_candidates(
 
 
 def check_members(candidates: Sequence[ClusterCandidate], n: int) -> None:
-    """ValueError unless every member lies in [0, n): the first and last of each sorted tuple."""
+    """The pool rule, else ValueError: nonempty, n an integer (not a bool), members in [0, n)."""
+    if len(candidates) == 0:
+        raise ValueError("candidate list is empty")
+    if not isinstance(n, Integral) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not all(0 <= cand.members[0] and cand.members[-1] < n for cand in candidates):
         raise ValueError(f"a candidate has a member outside [0, {n})")
 
 
-def membership(candidates: Sequence[ClusterCandidate], n: int) -> np.ndarray:
-    """0/1 matrix of shape (C, n) whose row i marks candidate i's members, all in [0, n)."""
+def membership(candidates: Sequence[ClusterCandidate], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, n) 0/1 matrix whose row i marks candidate i's members, and its row sums, the sizes."""
     check_members(candidates, n)
-    rows = np.repeat(np.arange(len(candidates)), [cand.size for cand in candidates])
+    sizes = np.array([cand.size for cand in candidates])
     cols = np.array([j for cand in candidates for j in cand.members], dtype=int)
     m = np.zeros((len(candidates), n))
-    m[rows, cols] = 1.0
-    return m
+    m[np.repeat(np.arange(len(candidates)), sizes), cols] = 1.0
+    return m, sizes
 
 
 def per_candidate(values, candidates: Sequence[ClusterCandidate], name: str) -> np.ndarray:
@@ -169,7 +173,7 @@ def candidate_costs(
     totals = [np.zeros(0)]
     for i in range(0, len(candidates), _PRICE_BLOCK):
         block = candidates[i : i + _PRICE_BLOCK]
-        mask = membership(block, topology.n)  # checks every member, heads included
+        mask, _ = membership(block, topology.n)  # checks every member, heads included
         heads = np.array([cand.head for cand in block], dtype=int)
         rows = (k * e_elec + eps_amp * k * topology.d_sq[heads] + k * e_elec) * mask
         # Energy grows with distance, so the largest member entry is the broadcast.

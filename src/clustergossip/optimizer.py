@@ -125,13 +125,9 @@ def _spectral_subgradient(v: np.ndarray, members: np.ndarray, sizes: np.ndarray)
     return v @ v - members @ (v * v) + mv * mv / sizes
 
 
-def mixing_matrix(
-    p: np.ndarray, candidates: Sequence[ClusterCandidate], n: int
-) -> np.ndarray:
+def mixing_matrix(p: np.ndarray, candidates: Sequence[ClusterCandidate], n: int) -> np.ndarray:
     """Expected averaging matrix W(p): the p-weighted candidate mixture."""
-    p = per_candidate(p, candidates, "p")
-    members = membership(candidates, n)
-    return _mixture(p, members, members.sum(axis=1))
+    return _mixture(per_candidate(p, candidates, "p"), *membership(candidates, n))
 
 
 def _deflated_top(
@@ -180,7 +176,8 @@ def _checked_costs(costs, candidates: Sequence[ClusterCandidate], alpha: float) 
 
 
 def xi(p: np.ndarray, candidates: Sequence[ClusterCandidate], n: int) -> float:
-    """Second-largest eigenvalue of W(p), clipped to [0, 1]: the largest of W(p) - J."""
+    """``lambda_max(W(p) - J)`` clipped to [0, 1]: on the simplex, the second-largest eigenvalue of
+    W(p); off it, the convex extension that the subgradients and their finite differences use."""
     return _deflated_top(mixing_matrix(p, candidates, n), n)[0]
 
 
@@ -200,8 +197,7 @@ def objective_subgradient(
     """
     p = per_candidate(p, candidates, "p")
     costs_arr = _checked_costs(costs, candidates, alpha)
-    members = membership(candidates, n)
-    sizes = members.sum(axis=1)
+    members, sizes = membership(candidates, n)
     _, v = _deflated_top(_mixture(p, members, sizes), n)
     return _spectral_subgradient(v, members, sizes) + alpha * costs_arr
 
@@ -245,9 +241,9 @@ def optimize(
 
     ``alpha``, the energy weight, must be a finite number >= 0 and ``epsilon``, the connectivity
     margin, a number in [MIN_EPSILON, 1); a bool is not a number. Either one broken raises
-    ValueError naming it (epsilon first), before the candidates and costs are checked. The costs
-    must be finite and nonnegative, and alpha times the largest of them finite (else
-    NumericalError); ``objective_subgradient`` applies the same alpha and cost rules.
+    ValueError naming it (epsilon first). Then the costs must be finite and nonnegative, and alpha
+    times the largest of them finite (else NumericalError), as in ``objective_subgradient``; last,
+    the pool must pass ``candidates.check_members``, as everywhere a pool is read.
 
     Only distributions that keep the whole network mixing count as
     solutions: the returned iterate must satisfy ``xi <= 1 - epsilon``.
@@ -274,12 +270,8 @@ def optimize(
     if not is_finite_number(epsilon) or not MIN_EPSILON <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [{MIN_EPSILON}, 1), got {epsilon}")
     costs_arr = _checked_costs(costs, candidates, alpha)
-    if len(candidates) == 0:
-        raise ValueError("candidate list is empty")
-
+    members, sizes = membership(candidates, n)
     c_count = len(candidates)
-    members = membership(candidates, n)
-    sizes = members.sum(axis=1)
     weighted_costs = alpha * costs_arr
     margin = 1.0 - epsilon
 

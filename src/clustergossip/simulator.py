@@ -37,13 +37,19 @@ _BLOCK = 64
 _PADDED_WIDTH = 7
 
 
+def _check_count(name: str, value: object, least: int) -> None:
+    """ConfigurationError naming ``name`` unless ``value`` is an int >= ``least``, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class SimulationScenario:
     """Everything a trial needs besides its random stream, checked when built.
 
-    threshold > 0, max_iters >= 1, p a distribution and costs_l1 a finite nonnegative cost per
-    candidate (both stored as float vectors), every member in [0, n), and an
-    init_low/init_high range that ``check_init_range`` accepts.
+    threshold > 0, max_iters an int >= 1 and not a bool, p a distribution and costs_l1 a finite
+    nonnegative cost per candidate (both stored as float vectors), a pool and n that pass
+    ``check_members``, and an init_low/init_high range that ``check_init_range`` accepts.
     """
 
     candidates: tuple[ClusterCandidate, ...]
@@ -59,8 +65,7 @@ class SimulationScenario:
         """Check the rules above; ``replace`` runs this too."""
         if not self.threshold > 0:  # NaN too
             raise ConfigurationError(f"threshold must be positive, got {self.threshold}")
-        if self.max_iters < 1:
-            raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
+        _check_count("max_iters", self.max_iters, 1)
         for name, check in (("p", per_candidate), ("costs_l1", per_candidate_costs)):
             object.__setattr__(self, name, check(getattr(self, name), self.candidates, name))
         _cumulative(self.p)
@@ -145,9 +150,7 @@ def relative_error(y: np.ndarray, y0: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore")  # checked at the end, as non-finite sums
-def monte_carlo(
-    scenario: SimulationScenario, runs: int, base_seed: int
-) -> AveragedTrace:
+def monte_carlo(scenario: SimulationScenario, runs: int, base_seed: int) -> AveragedTrace:
     """Average independent trials, run r seeded with base_seed + r.
 
     ``runs`` must be an int >= 1 and ``base_seed`` an int >= 0, neither a bool; otherwise a
@@ -159,9 +162,8 @@ def monte_carlo(
     its final error and energy, i.e. is right-extended as constants in the mean. Energy sums
     that overflow a float, which finite but huge costs_l1 can give, raise NumericalError.
     """
-    for name, value, least in (("runs", runs, 1), ("base_seed", base_seed, 0)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
-            raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_count("runs", runs, 1)
+    _check_count("base_seed", base_seed, 0)
     cands, n, low, high = scenario.candidates, scenario.n, scenario.init_low, scenario.init_high
     size_of = np.array([cand.size for cand in cands])
     members = np.full((len(cands), size_of.max()), n)

@@ -25,7 +25,7 @@ from clustergossip import (
     relative_error,
     sample_cluster,
 )
-from clustergossip.candidates import membership
+from clustergossip.candidates import check_members
 
 
 def transmission_energy(params: EnergyParams, d_sq: float) -> float:
@@ -84,7 +84,7 @@ def build_weight_matrix(candidate: ClusterCandidate, n: int) -> np.ndarray:
     non-members, and 0 otherwise. The result is symmetric, doubly
     stochastic, and idempotent.
     """
-    membership([candidate], n)  # only for its member-range check
+    check_members([candidate], n)
     w = np.eye(n)
     idx = np.fromiter(candidate.members, dtype=int)
     w[np.ix_(idx, idx)] = 1.0 / candidate.size

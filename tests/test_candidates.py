@@ -24,6 +24,9 @@ from clustergossip.candidates import candidate_costs
 from reference import build_weight_matrix, run_trial
 
 
+PAIR_01 = ClusterCandidate(head=0, members=(0, 1))
+
+
 def test_candidate_validation():
     ClusterCandidate(head=0, members=(0, 1))
     ClusterCandidate(head=np.int64(0), members=(np.int32(0), np.int64(1)))  # numpy integers
@@ -228,6 +231,39 @@ def test_member_outside_range_names_n(call, head, members):
     silent wrap of -1 to n - 1."""
     with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
         call([ClusterCandidate(head=head, members=members)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: optimize([], [], 3),
+        lambda: mixing_matrix(np.zeros(0), [], 3),
+        lambda: xi(np.zeros(0), [], 3),
+        lambda: objective_subgradient(np.zeros(0), [], [], 0.0, 3),
+    ],
+    ids=["optimize", "mixing_matrix", "xi", "objective_subgradient"],
+)
+def test_empty_pool_is_rejected(call):
+    """A pool with no clusters is refused, not read as a zero W(p) that mixes perfectly (xi 0)
+    or as an empty subgradient."""
+    with pytest.raises(ValueError, match="candidate list is empty"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: optimize([PAIR_01], [1.0], n),
+        lambda n: xi(np.array([1.0]), [PAIR_01], n),
+        lambda n: SimulationScenario((PAIR_01,), [1.0], [1.0], n, 0.0, 30.0, 0.1, 10),
+    ],
+    ids=["optimize", "xi", "SimulationScenario"],
+)
+@pytest.mark.parametrize("n", [8.0, True])
+def test_node_count_must_be_an_integer(call, n):
+    """n is an integer (numpy's too) and never a bool or a float, by the one pool rule."""
+    with pytest.raises(ValueError, match="n must be an integer"):
+        call(n)
 
 
 def test_prune_rejects_mismatched_costs():

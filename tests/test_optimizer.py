@@ -615,8 +615,7 @@ def test_warm_eigenpair_matches_eigh(seed, case):
     eigenspace takes the eigh fallback."""
     rng = np.random.default_rng(seed)
     cands, _, n = _random_pool(seed, (4, 13), with_all_node=True)
-    members = membership(cands, n)
-    sizes = members.sum(axis=1)
+    members, sizes = membership(cands, n)
     p = rng.dirichlet(np.ones(len(cands)))
     q = project_simplex(p + rng.normal(scale=1e-2, size=len(cands)))
     start = np.linalg.eigh(optimizer._mixture(q, members, sizes) - 1.0 / n)[1][:, -1]

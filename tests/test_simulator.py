@@ -608,6 +608,9 @@ def test_monte_carlo_matches_the_second_moment_recursion(seed):
         ({"costs_l1": [-1.0, 1.0]}, 5, ValueError),
         ({"costs_l1": [np.nan, 1.0]}, 5, ValueError),
         ({"costs_l1": [np.inf, 1.0]}, 5, ValueError),
+        # a slot count that is not an int, or is a bool
+        ({"max_iters": 2.5}, 5, ConfigurationError),
+        ({"max_iters": True}, 5, ConfigurationError),
     ],
 )
 def test_monte_carlo_rejects_bad_scenario(changes, runs, error):
