@@ -1,16 +1,15 @@
 """The command line's front end: the experiment config, its checks, the parser and ``main``.
 
-It imports no numpy: ``validate``, ``--help`` and usage or config errors finish here, and
-``main`` imports the pipeline in ``cli`` only for ``run`` and ``candidates``.
+It imports neither numpy nor dataclasses: ``validate``, ``--help`` and usage or config errors
+finish here, and ``main`` imports the pipeline in ``cli`` only for ``run`` and ``candidates``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Any, Sequence
 
 from .errors import (
     MIN_EPSILON, ConfigurationError, NumericalError, check_init_range, check_sizes,
@@ -26,46 +25,58 @@ EXIT_IO_ERROR = 3
 EXIT_NUMERICAL_ERROR = 4
 EXIT_INTERNAL_ERROR = 5
 
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep's worth of settings; defaults give a 30-node demo field."""
+    """One sweep's worth of settings; defaults give a 30-node demo field.
 
-    n_nodes: int = 30
-    area_side: float = 50.0
-    topology_seed: int = 7
-    topology_file: str | None = None
-    cluster_size_min: int = 2
-    cluster_size_max: int | None = None
-    alphas: tuple[float, ...] = (0.0, 4e-5, 8e-5)
-    epsilon: float = 1e-2
-    runs: int = 1000
-    error_threshold: float = 0.1
-    max_iterations: int = 10000
-    sim_base_seed: int = 1000
-    eps_amp: float = 1.0
-    e_elec: float = 0.0
-    k_bits: float = 1.0
-    init_low: float = 0.0
-    init_high: float = 30.0
-    output_dir: str = "results"
+    Built by keyword from any of the ``KEYS`` (each omitted key takes its default) and read by
+    attribute. It is read-only: ``replace`` returns a changed copy, and checks it as the
+    constructor does.
+    """
 
-    def __post_init__(self) -> None:
-        """Store a list of alphas as a tuple, then check every rule (``replace`` runs this too)."""
+    # Each key's default, kind (a _TYPE_RULES key) and least value (None: it has none), in the
+    # order the keys are checked. A key whose default is None also admits None.
+    KEYS = {
+        "n_nodes": (30, "int", 2),
+        "area_side": (50.0, "float", None),
+        "topology_seed": (7, "int", 0),
+        "topology_file": (None, "str", None),
+        "cluster_size_min": (2, "int", None),
+        "cluster_size_max": (None, "int", None),
+        "alphas": ((0.0, 4e-5, 8e-5), "floats", None),
+        "epsilon": (1e-2, "float", None),
+        "runs": (1000, "int", 1),
+        "error_threshold": (0.1, "float", None),
+        "max_iterations": (10000, "int", 1),
+        "sim_base_seed": (1000, "int", 0),
+        "eps_amp": (1.0, "float", 0),
+        "e_elec": (0.0, "float", 0),
+        "k_bits": (1.0, "float", 0),
+        "init_low": (0.0, "float", None),
+        "init_high": (30.0, "float", None),
+        "output_dir": ("results", "str", None),
+    }
+    __slots__ = tuple(KEYS)
+
+    def __init__(self, **values: object) -> None:
+        """Take each key from ``values`` or its default, alphas as a tuple; check every rule."""
+        unknown = values.keys() - self.KEYS.keys()
+        if unknown:
+            raise ConfigurationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+        for key, (default, _, _) in self.KEYS.items():
+            object.__setattr__(self, key, values.get(key, default))
         if isinstance(self.alphas, list):
             object.__setattr__(self, "alphas", tuple(self.alphas))
 
         def fail(key: str, message: str) -> None:
             raise ConfigurationError(f"config key '{key}': {message}")
 
-        for field in fields(self):
-            value = getattr(self, field.name)
-            kind, _, optional = field.type.partition(" | ")
+        for key, (default, kind, _) in self.KEYS.items():
+            value = getattr(self, key)
             is_kind, noun = _TYPE_RULES[kind]
-            if not is_kind(value) and not (optional and value is None):
-                fail(field.name, f"must be {noun}, got {show(value)}")
-        for key, least in _AT_LEAST.items():
-            if getattr(self, key) < least:
+            if not is_kind(value) and not (default is None and value is None):
+                fail(key, f"must be {noun}, got {show(value)}")
+        for key, (_, _, least) in self.KEYS.items():
+            if least is not None and getattr(self, key) < least:
                 fail(key, f"must be >= {least}, got {show(getattr(self, key))}")
         for key in ("area_side", "error_threshold"):
             if getattr(self, key) <= 0:
@@ -88,6 +99,15 @@ class ExperimentConfig:
             fail("epsilon", f"must lie in [{MIN_EPSILON}, 1), got {self.epsilon}")
         check_init_range(self.init_low, self.init_high)
 
+    def replace(self, **changes: object) -> ExperimentConfig:
+        """A copy with ``changes`` applied, built (and so checked) by the constructor."""
+        return ExperimentConfig(**{**{key: getattr(self, key) for key in self.KEYS}, **changes})
+
+    def __setattr__(self, key: str, value: object = None) -> None:
+        raise AttributeError(f"config key {key!r} is read-only: use replace()")
+
+    __delattr__ = __setattr__
+
     def size_max(self) -> int:
         """Largest cluster size of a drawn field, as ``check_sizes`` resolves it for ``n_nodes``."""
         if self.topology_file is not None:  # the file's node count, not n_nodes, judges the sizes
@@ -95,29 +115,20 @@ class ExperimentConfig:
         return check_sizes(self.n_nodes, self.cluster_size_min, self.cluster_size_max)
 
 
-# The check and its noun for each ExperimentConfig annotation; "X | None" also admits None.
+# The check and its noun for each kind of value in ExperimentConfig.KEYS.
 _TYPE_RULES = {
     "int": (lambda value: isinstance(value, int) and not isinstance(value, bool), "an integer"),
     "float": (is_finite_number, "a finite number"),
     "str": (lambda value: isinstance(value, str), "a string"),
-    "tuple[float, ...]": (
+    "floats": (
         lambda value: isinstance(value, tuple) and all(map(is_finite_number, value)),
         "a list of finite numbers",
     ),
 }
 
-# The least value of each key that has one.
-_AT_LEAST = {
-    "topology_seed": 0, "sim_base_seed": 0, "n_nodes": 2, "runs": 1,
-    "max_iterations": 1, "eps_amp": 0, "e_elec": 0, "k_bits": 0,
-}
 
-
-def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
+def config_from_dict(data: dict[str, object]) -> ExperimentConfig:
     """Build a config from a plain dict of overrides; unknown keys are rejected."""
-    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise ConfigurationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     return ExperimentConfig(**data)
 
 
@@ -168,7 +179,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         from . import cli  # numpy and the pipeline: only run and candidates need them
 
         if args.command == "run" and args.output_dir is not None:  # replace checks the path
-            config = replace(config, output_dir=args.output_dir)
+            config = config.replace(output_dir=args.output_dir)
         return (cli.run_sweep if args.command == "run" else cli.print_candidates)(config)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +151,7 @@ def test_size_max_refuses_a_topology_file(size_max):
         ({"init_low": 1.4e154, "init_high": 1.5e154}, "init_low=.*init_high="),
         ({"init_low": -1.5e154, "init_high": -1.4e154}, "init_low=.*init_high="),
         ({"init_low": -1.7e308, "init_high": 1.7e308}, "init_low=.*init_high="),
+        ({"runs": None}, "runs"),  # only the keys whose default is null admit null
     ],
 )
 def test_config_rejections_name_the_key(overrides, key):
@@ -164,13 +164,13 @@ def test_config_rejections_name_the_key(overrides, key):
     [
         (lambda: ExperimentConfig(alphas=()), "alphas"),
         (lambda: ExperimentConfig(error_threshold=float("nan")), "error_threshold"),
-        (lambda: replace(ExperimentConfig(), runs=0), "runs"),
-        (lambda: replace(ExperimentConfig(), alphas=[-1.0]), "alphas"),
-        (lambda: replace(ExperimentConfig(), output_dir=""), "output_dir"),
+        (lambda: ExperimentConfig().replace(runs=0), "runs"),
+        (lambda: ExperimentConfig().replace(alphas=[-1.0]), "alphas"),
+        (lambda: ExperimentConfig().replace(output_dir=""), "output_dir"),
     ],
 )
 def test_config_checks_itself_on_construction_and_replace(build, key):
-    """The constructor and dataclasses.replace pass the same rules as a config file."""
+    """The constructor and the config's replace pass the same rules as a config file."""
     with pytest.raises(ConfigurationError, match=key):
         build()
 
@@ -178,12 +178,26 @@ def test_config_checks_itself_on_construction_and_replace(build, key):
 def test_config_stores_a_list_of_alphas_as_a_tuple():
     # A list never equals a tuple, so these also check the type.
     assert ExperimentConfig(alphas=[0.0, 1e-5]).alphas == (0.0, 1e-5)
-    assert replace(ExperimentConfig(), alphas=[2e-5]).alphas == (2e-5,)
+    assert ExperimentConfig().replace(alphas=[2e-5]).alphas == (2e-5,)
+
+
+def test_config_is_read_only():
+    """A config's keys are not assigned or deleted in place; replace returns a changed copy."""
+    config = ExperimentConfig()
+    with pytest.raises(AttributeError):
+        config.runs = 5
+    with pytest.raises(AttributeError):
+        config.no_such_knob = 1
+    with pytest.raises(AttributeError):
+        del config.runs
+    assert config.runs == 1000 and config.replace(runs=5).runs == 5
 
 
 def test_config_rejects_unknown_key():
     with pytest.raises(ConfigurationError, match="no_such_knob"):
         config_from_dict({"no_such_knob": 1})
+    with pytest.raises(ConfigurationError, match="no_such_knob"):
+        ExperimentConfig().replace(no_such_knob=1)
 
 
 def test_load_config_errors(tmp_path):
@@ -485,10 +499,10 @@ def test_module_and_console_script_return_mains_exit_code():
 
 
 def _fresh_imports(argv, cwd):
-    """Exit code of ``python -X importtime -m clustergossip *argv`` and the modules it imported."""
+    """Exit code of ``python -X importtime *argv`` and the modules it imported."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "clustergossip", *argv],
+        [sys.executable, "-X", "importtime", *argv],
         env=env, cwd=cwd, capture_output=True, text=True,
     )
     lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
@@ -502,9 +516,13 @@ PIPELINE_MODULES = {
 
 
 def test_front_end_starts_without_numpy(tmp_path):
-    """validate, --help, usage errors and config errors import neither numpy nor the pipeline."""
+    """validate, --help, usage errors and config errors import neither numpy nor the pipeline,
+    nor dataclasses and the inspect module it loads, unless the interpreter's own start does
+    (a site hook, say)."""
     (tmp_path / "default.json").write_text("{}")
     (tmp_path / "bad.json").write_text('{"runs": 0}')
+    _, bare = _fresh_imports(["-c", "pass"], tmp_path)
+    slow_stdlib = {"dataclasses", "inspect"} - bare
     for argv, code in (
         (["validate", "--config", "default.json"], EXIT_OK),
         (["--help"], EXIT_OK),
@@ -512,14 +530,16 @@ def test_front_end_starts_without_numpy(tmp_path):
         (["validate", "--config", "bad.json"], EXIT_CONFIG_ERROR),
         (["run", "--config", "bad.json"], EXIT_CONFIG_ERROR),
     ):
-        returncode, modules = _fresh_imports(argv, tmp_path)
+        returncode, modules = _fresh_imports(["-m", "clustergossip", *argv], tmp_path)
         assert returncode == code and "clustergossip.config" in modules, argv
-        assert modules & PIPELINE_MODULES == set(), argv
+        assert modules & (PIPELINE_MODULES | slow_stdlib) == set(), argv
 
     field = tmp_path / "field.json"
     field.write_text(json.dumps({"positions": [[0, 0], [1, 0], [0, 1]]}))
     (tmp_path / "field-config.json").write_text(json.dumps({"topology_file": str(field)}))
-    returncode, modules = _fresh_imports(["validate", "--config", "field-config.json"], tmp_path)
+    returncode, modules = _fresh_imports(
+        ["-m", "clustergossip", "validate", "--config", "field-config.json"], tmp_path
+    )
     assert returncode == EXIT_OK and {"numpy", "clustergossip.topology"} <= modules
 
 
@@ -832,7 +852,7 @@ _config_values = st.one_of(
 
 @given(
     st.dictionaries(
-        st.sampled_from([f.name for f in fields(ExperimentConfig)] + ["no_such_knob"]),
+        st.sampled_from([*ExperimentConfig.KEYS, "no_such_knob"]),
         _config_values,
         max_size=6,
     )
