@@ -7,9 +7,9 @@ finish here, and ``main`` imports the pipeline in ``cli`` only for ``run`` and `
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
 from .errors import (
     MIN_EPSILON, ConfigurationError, NumericalError, check_init_range, check_sizes,
@@ -132,7 +132,7 @@ def config_from_dict(data: dict[str, object]) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | os.PathLike[str]) -> ExperimentConfig:
     """Load a JSON config file; unspecified keys take the defaults."""
     return config_from_dict(read_json_object(path, "config"))
 

@@ -3,8 +3,8 @@ the JSON file reader, and the input rules that the config and the pipeline both 
 
 import json
 import math
+import os
 import sys
-from pathlib import Path
 
 __all__ = [
     "ConfigurationError",
@@ -34,19 +34,19 @@ def show(value: object) -> str:
     return f"[{', '.join(map(show, value))}]" if isinstance(value, tuple) else repr(value)
 
 
-def read_json_object(path: str | Path, kind: str) -> dict:
+def read_json_object(path: str | os.PathLike[str], kind: str) -> dict:
     """The JSON object in the file at ``path``; anything else is an error naming the file kind."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigurationError(
-            f"{kind} file {p} is not a file" if p.exists() else f"{kind} file not found: {p}"
-        )
+    if not os.path.exists(path):
+        raise ConfigurationError(f"{kind} file not found: {path}")
+    if not os.path.isfile(path):
+        raise ConfigurationError(f"{kind} file {path} is not a file")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:
+            data = json.load(file)
     except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer, too deep
-        raise ConfigurationError(f"{kind} file {p} is not valid JSON: {exc}") from exc
+        raise ConfigurationError(f"{kind} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigurationError(f"{kind} file {p} must contain a JSON object")
+        raise ConfigurationError(f"{kind} file {path} must contain a JSON object")
     return data
 
 

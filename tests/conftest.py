@@ -22,6 +22,12 @@ def collinear_topology() -> Topology:
     )
 
 
+@pytest.fixture
+def coincident_topology() -> Topology:
+    """Three nodes at one point, (2,2): every squared distance is 0."""
+    return Topology(np.array([[2.0, 2.0]] * 3))
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one PASS/FAIL line per acceptance criterion after the run.
 

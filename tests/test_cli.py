@@ -517,12 +517,12 @@ PIPELINE_MODULES = {
 
 def test_front_end_starts_without_numpy(tmp_path):
     """validate, --help, usage errors and config errors import neither numpy nor the pipeline,
-    nor dataclasses and the inspect module it loads, unless the interpreter's own start does
-    (a site hook, say)."""
+    nor dataclasses and the inspect module it loads, nor pathlib, unless the interpreter's own
+    start does (a site hook, say)."""
     (tmp_path / "default.json").write_text("{}")
     (tmp_path / "bad.json").write_text('{"runs": 0}')
     _, bare = _fresh_imports(["-c", "pass"], tmp_path)
-    slow_stdlib = {"dataclasses", "inspect"} - bare
+    slow_stdlib = {"dataclasses", "inspect", "pathlib"} - bare
     for argv, code in (
         (["validate", "--config", "default.json"], EXIT_OK),
         (["--help"], EXIT_OK),

@@ -546,6 +546,26 @@ def test_lower_bound_never_exceeds_the_objective(seed, with_all_node, alpha):
     assert 0 <= r.iterations <= optimizer._MAX_ITERS
 
 
+@pytest.mark.parametrize("epsilon", [0.01, 0.3])
+@given(seed=st.integers(0, 2**31 - 1), alpha=st.floats(0.0, 1e-3), data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_epsilon_corner_meets_the_margin_and_bounds_the_dual(epsilon, seed, alpha, data):
+    """The epsilon-corner: 1 - epsilon on any candidate i with fewer than n members and epsilon on
+    the all-node one give W(p) = (1 - epsilon) W_i + epsilon J, whose xi is 1 - epsilon in exact
+    arithmetic. Its objective is no lower than optimize's weak-duality bound over the whole
+    simplex (up to the rounding the bound test above allows)."""
+    cands, costs, n = _random_pool(seed, (3, 11), with_all_node=True)
+    sizes = np.array([c.size for c in cands])
+    (full,) = np.flatnonzero(sizes == n)
+    p = np.zeros(len(cands))
+    p[data.draw(st.sampled_from(np.flatnonzero(sizes < n).tolist()))] = 1.0 - epsilon
+    p[full] = epsilon
+    corner_xi = xi(p, cands, n)
+    assert abs(corner_xi - (1.0 - epsilon)) <= 1e-12
+    r = optimize(cands, costs, n, alpha=alpha, epsilon=epsilon)
+    assert r.lower_bound <= corner_xi + alpha * float(costs @ p) + 1e-12
+
+
 @pytest.mark.parametrize("seed,alpha", [(0, 0.0), (2, 5.9e-4), (7, 1e-4)])
 def test_optimize_projects_once_per_step(monkeypatch, seed, alpha):
     """perfbench's optimizer.iterations counts calls of optimizer.project_simplex, looked up on
