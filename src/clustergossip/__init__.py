@@ -6,12 +6,12 @@ cluster activation probabilities to trade mixing speed against expected
 energy, and verify the trade-off with Monte-Carlo simulation.
 
 Importing the package loads no module, so the command line's front end starts without numpy;
-the first lookup of a public name imports the five modules below and publishes their names.
+the first lookup of a public name imports the four modules below and publishes their names.
 """
 
 __version__ = "0.1.0"
 
-_MODULES = ("candidates", "errors", "optimizer", "simulator", "topology")
+_MODULES = ("candidates", "errors", "optimizer", "simulator")
 
 
 def __getattr__(name: str):

@@ -15,14 +15,14 @@ from typing import Any, Sequence
 import numpy as np
 
 from .candidates import (
-    ClusterCandidate, EnergyParams, candidate_costs, enumerate_candidates, prune_dominated,
+    ClusterCandidate, EnergyParams, Topology, candidate_costs, enumerate_candidates,
+    generate_topology, load_topology, prune_dominated,
 )
 # load_config and main are re-exported: perfbench/micro.py and traced_cli.py read them from cli
 from .config import EXIT_INFEASIBLE, EXIT_OK, ExperimentConfig, load_config, main
 from .errors import ConfigurationError
 from .optimizer import optimize
 from .simulator import AveragedTrace, SimulationScenario, monte_carlo
-from .topology import Topology, generate_topology, load_topology
 
 __all__ = ["prepare_pool", "run_sweep", "print_candidates", "write_trace_csv", "write_summary_json"]
 

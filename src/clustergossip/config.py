@@ -141,7 +141,7 @@ def _cmd_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if config.topology_file is not None:  # loaded and size-checked as run does; no field is drawn
         import numpy as np
 
-        from .topology import load_topology
+        from .candidates import load_topology
 
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing distances pass, like costs
             n = load_topology(config.topology_file).n

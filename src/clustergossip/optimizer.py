@@ -40,13 +40,15 @@ NumericalError.
 Certified stop (weak duality, Boyd & Vandenberghe, Convex Optimization,
 ch. 5): for any PSD Z with trace 1, ``lambda_max(W(p) - J) >= <Z, W(p) - J>``,
 so ``LB(Z) = min_i(<Z, W_i> + alpha c_i) - <Z, J>`` bounds the objective from
-below on the whole simplex, margin or not. Z is the running mean of v v'
-over the eigenvectors the solver already computes (the start point and
-every step's iterate), so <Z, W_i> is the running mean of the subgradient
-coordinates v' W_i v and the bound costs O(C) per step. It is evaluated at
-the start of each phase and every stall window, the largest value is kept,
-and the solve stops once the best point meets the margin and its objective
-is within 1e-9 * max(1, |objective|) of the bound.
+below on the whole simplex, margin or not. Z is the mean of v v' over the
+eigenvectors the solver computed since the previous bound (the start point
+seeds the first, then every step's iterate), so <Z, W_i> is the mean of the
+subgradient coordinates v' W_i v over that last window and the bound costs
+O(C) per step. It is evaluated at the start of each phase and every stall
+window that holds an evaluation, the largest value is kept, and the solve
+stops once the best point meets the margin and its objective is within
+1e-9 * max(1, |objective|) of the bound. Later windows hold eigenvectors
+near the optimum, typically a tighter Z than the mean over every step.
 """
 
 from __future__ import annotations
@@ -301,10 +303,11 @@ def optimize(
     for i in np.flatnonzero(sizes == n):
         best = min(best, evaluate(np.eye(1, c_count, i)[0]), key=lambda record: record[0])
 
-    # Sums of <v v', W_i> and <v v', J> over the start point and every step's iterate, whose
-    # mean is the dual Z of the module docstring (the all-node vertex's v is arbitrary, as
-    # W - J = 0 there, so it is left out). The bound starts at 0: xi >= 0 and costs >= 0.
-    z_w, z_j = point[4].copy(), point[5]
+    # Sums of <v v', W_i> and <v v', J> over the evaluations since the last window check (the
+    # start point seeds the first), with their count; their mean is the dual Z of the module
+    # docstring (the all-node vertex's v is arbitrary, as W - J = 0 there, so it is left out).
+    # The bound starts at 0: xi >= 0 and costs >= 0.
+    z_w, z_j, seen = point[4].copy(), point[5], 1
     lower, iterations = 0.0, 0
     per_phase = _MAX_ITERS // len(_STEP_PHASES)
     for scale in _STEP_PHASES:
@@ -317,11 +320,11 @@ def optimize(
                 if point[0] < best[0]:
                     best = point
                 iterations += 1
-                z_w += point[4]
-                z_j += point[5]
+                z_w, z_j, seen = z_w + point[4], z_j + point[5], seen + 1
             if t % _STALL_WINDOW == 0:
-                seen = iterations + 1
-                lower = max(lower, float(np.min(z_w / seen + weighted_costs)) - z_j / seen)
+                if seen:
+                    lower = max(lower, float(np.min(z_w / seen + weighted_costs)) - z_j / seen)
+                    z_w, z_j, seen = 0.0, 0.0, 0
                 infeasible, value = best[0]
                 certified = not infeasible and value - lower <= _GAP_TOL * max(1.0, abs(value))
                 if certified or (t > 0 and anchor - (infeasible + value) < _STALL_TOL):

@@ -511,7 +511,7 @@ def _fresh_imports(argv, cwd):
 
 PIPELINE_MODULES = {
     "numpy", *(f"clustergossip.{name}" for name in
-               ("cli", "candidates", "optimizer", "simulator", "topology")),
+               ("cli", "candidates", "optimizer", "simulator")),
 }
 
 
@@ -540,7 +540,9 @@ def test_front_end_starts_without_numpy(tmp_path):
     returncode, modules = _fresh_imports(
         ["-m", "clustergossip", "validate", "--config", "field-config.json"], tmp_path
     )
-    assert returncode == EXIT_OK and {"numpy", "clustergossip.topology"} <= modules
+    # a topology file loads candidates, where Topology lives, but not cli, the solver or simulator
+    assert returncode == EXIT_OK and {"numpy", "clustergossip.candidates"} <= modules
+    assert modules & {f"clustergossip.{m}" for m in ("cli", "optimizer", "simulator")} == set()
 
 
 # The names perfbench/traced_cli.py wraps in clustergossip.cli. It also lists candidate_cost_l1,

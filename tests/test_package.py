@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import clustergossip
-from clustergossip import candidates, errors, optimizer, simulator, topology
+from clustergossip import candidates, errors, optimizer, simulator
 from clustergossip import (
     ActivationDistribution,
     AveragedTrace,
@@ -21,7 +21,7 @@ from clustergossip import (
 )
 from reference import SimulationTrace
 
-MODULES = (candidates, errors, optimizer, simulator, topology)
+MODULES = (candidates, errors, optimizer, simulator)
 
 PUBLIC = {
     "ActivationDistribution", "AveragedTrace", "ClusterCandidate", "ConfigurationError",
