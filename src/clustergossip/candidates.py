@@ -19,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, check_sizes, is_finite_number, read_json_object
+from .errors import (
+    ConfigurationError, check_count, check_sizes, is_finite_number, read_json_object,
+)
 
 __all__ = [
     "ClusterCandidate",
@@ -33,6 +35,14 @@ __all__ = [
 ]
 
 _PRICE_BLOCK = 1024
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32, _M64 = 0xCA01F9DD, 0x4973F715, 2**32 - 1, 2**64 - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# A _Streams call computes a row's next states at most _JUMP at a time: the first _NEAR straight
+# from the row's state, then states m + 1..2m from states 1..m for each m of _DOUBLINGS.
+_DOUBLINGS = (8, 16, 32)
+_NEAR, _JUMP = _DOUBLINGS[0], 2 * _DOUBLINGS[-1]
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
@@ -69,17 +79,140 @@ class Topology:
         return self.positions.shape[0]
 
 
-def generate_topology(n: int, side: float, seed: int) -> Topology:
-    """Place n nodes i.i.d. uniformly on the square [0, side]^2.
+def _jump(m: int) -> tuple[int, int]:
+    """M**m and C_m = M**(m-1) + ... + M + 1 mod 2**128, for M = _PCG_MULT: m steps of
+    s -> M s + inc take a state s to M**m s + C_m inc."""
+    return pow(_PCG_MULT, m, 2**128), sum(pow(_PCG_MULT, e, 2**128) for e in range(m)) % 2**128
 
-    Deterministic for a fixed seed.
+
+def _split(a: int) -> tuple[int, int, int, int]:
+    """An int below 2**128 as ``_mul_add`` takes a multiplier: its high and low 64 bits, and the
+    low half's low and high 32 bits."""
+    return a >> 64, a & _M64, a & _M32, a >> 32 & _M32
+
+
+def _columns(values: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """``_split`` of each value, as four (len(values), 1) uint64 columns."""
+    return tuple(np.array(part, np.uint64)[:, None] for part in zip(*map(_split, values)))
+
+
+_NEAR_MULTS = _columns([_jump(m)[0] for m in range(1, _NEAR + 1)])
+_DOUBLING_MULTS = [_split(_jump(m)[0]) for m in _DOUBLINGS]
+# C_m for the near states and the doublings: _Streams multiplies them by each row's inc.
+_SUMS = _columns([_jump(m)[1] for m in (*range(1, _NEAR + 1), *_DOUBLINGS)])
+
+
+def _mul_add(a: tuple, b: tuple, c: tuple, out: tuple) -> None:
+    """out = a * b + c mod 2**128, in place.
+
+    ``a`` is (high 64 bits, low 64 bits, the low half's low and high 32 bits), as ints or uint64
+    arrays; b, c and out are (hi, lo) pairs of uint64 arrays; all broadcast together.
     """
-    if n < 2:
-        raise ConfigurationError(f"need at least 2 nodes, got n={n}")
+    (a_hi, a_lo, a0, a1), (b_hi, b_lo), (c_hi, c_lo), (hi, lo) = a, b, c, out
+    b0, b1 = b_lo & _M32, b_lo >> 32
+    mid = b0 * a1 + (b0 * a0 >> 32)  # the high half of a_lo * b_lo, 32 bits at a time
+    low = (mid & _M32) + b1 * a0
+    np.multiply(b1, a1, out=hi)
+    hi += (mid >> 32) + (low >> 32) + b_lo * a_hi + b_hi * a_lo + c_hi
+    np.multiply(b_lo, a_lo, out=lo)
+    lo += c_lo
+    hi += lo < c_lo  # the carry
+
+
+class _Streams:
+    """numpy's ``default_rng(seed)`` streams, one row per seed, drawn many rows at once.
+
+    Seeding is ``SeedSequence(seed).generate_state(4, uint64)`` in uint32 over every seed, then
+    PCG64's ``set_seed``; each state is a 128-bit (hi, lo) pair of uint64 arrays. A draw steps a
+    row's state, s -> M s + inc, and turns its XSL-RR output x into the double
+    ``(x >> 11) * 2**-53``. A call computes the next states of its rows by jumping ahead, at most
+    ``_JUMP`` at a time, so memory stays O(rows * _JUMP). Tests pin every stream to numpy's.
+    """
+
+    def __init__(self, seeds: Sequence[int]) -> None:
+        counts = np.array([max(1, -(-seed.bit_length() // 32)) for seed in seeds])
+        words = max(4, int(counts.max()))
+        data = b"".join(seed.to_bytes(4 * words, "little") for seed in seeds)
+        entropy = np.frombuffer(data, "<u4").reshape(len(seeds), words).T.astype(np.uint32)
+        const = _INIT_A
+
+        def hashmix(value: np.ndarray) -> np.ndarray:
+            nonlocal const
+            value = value ^ const
+            const = const * _MULT_A & _M32
+            value = value * const
+            return value ^ value >> 16
+
+        def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            result = x * _MIX_L - y * _MIX_R
+            return result ^ result >> 16
+
+        # SeedSequence's mix_entropy: a seed of fewer than 4 words hashes as if padded with 0s.
+        pool = [hashmix(word) for word in entropy[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for src in range(4, words):
+            for dst in range(4):
+                mixed = mix(pool[dst], hashmix(entropy[src]))
+                pool[dst] = np.where(counts > src, mixed, pool[dst])
+        const, state = _INIT_B, []
+        for i in range(8):  # generate_state(4, uint64): 8 words, little end first
+            value = pool[i % 4] ^ const
+            const = const * _MULT_B & _M32
+            value = value * const
+            state.append((value ^ value >> 16).astype(np.uint64))
+        seed_hi, seed_lo, inc_hi, inc_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+        inc = (inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1)
+        # set_seed: the state starts at 0, steps to inc, adds the seed (1 * inc + seed) and steps.
+        start, self.state = np.empty((2, 2, len(seeds)), np.uint64)
+        _mul_add(_split(1), inc, (seed_hi, seed_lo), start)
+        _mul_add(_split(_PCG_MULT), start, inc, self.state)
+        self.steps = np.empty((2, len(_SUMS[0]), len(seeds)), np.uint64)  # C_m inc, row by row
+        _mul_add(_SUMS, inc, np.zeros((2, 1), np.uint64), self.steps)
+
+    def random(self, k: int, rows=slice(None)) -> np.ndarray:
+        """The next k doubles in [0, 1) of each stream in ``rows``, shape (rows, k)."""
+        state, steps = self.state[:, rows], self.steps[:, :, rows]
+        out = np.empty((state.shape[1], k))  # C order: monte_carlo's row sums depend on it
+        for done in range(0, k, _JUMP):
+            count = min(_JUMP, k - done)
+            hi, lo = np.empty((2, count, state.shape[1]), np.uint64)
+            near = min(count, _NEAR)
+            mults = tuple(a[:near] for a in _NEAR_MULTS)
+            _mul_add(mults, state[:, None], steps[:, :near], (hi[:near], lo[:near]))
+            for i, m in enumerate(_DOUBLINGS):
+                width = min(m, count - m)
+                if width > 0:
+                    b, out_m = (hi[:width], lo[:width]), (hi[m : m + width], lo[m : m + width])
+                    _mul_add(_DOUBLING_MULTS[i], b, steps[:, _NEAR + i], out_m)
+            state = np.array([hi[-1], lo[-1]])
+            x, rot = hi ^ lo, hi >> 58  # XSL-RR: xor the halves, rotate right by the top 6 bits
+            x = x >> rot | x << (64 - rot & 63)
+            # As int64, which numpy converts to float faster; (x >> 11) < 2**53 is exact either way.
+            np.multiply((x >> 11).view(np.int64).T, 2.0**-53, out=out[:, done : done + count])
+        self.state[:, rows] = state
+        return out
+
+    def uniform(self, low: float, high: float, k: int, rows=slice(None)) -> np.ndarray:
+        """``Generator.uniform(low, high, k)`` of each stream in ``rows``, shape (rows, k)."""
+        low, high = float(low), float(high)
+        return low + (high - low) * self.random(k, rows)
+
+
+def generate_topology(n: int, side: float, seed: int) -> Topology:
+    """Place n nodes i.i.d. uniformly on the square [0, side]^2, as numpy's
+    ``default_rng(seed).uniform(0, side, (n, 2))`` does.
+
+    Deterministic for a fixed seed. ``n`` must be an int >= 2 and ``seed`` one >= 0, neither a
+    bool, and ``side`` positive and finite; otherwise a ConfigurationError names the argument.
+    """
+    check_count("n", n, 2)
     if not 0 < side < np.inf:  # NaN too
         raise ConfigurationError(f"field side must be positive and finite, got {side}")
-    rng = np.random.default_rng(seed)
-    return Topology(rng.uniform(0.0, side, size=(n, 2)))
+    check_count("seed", seed, 0)
+    return Topology(_Streams([seed]).uniform(0.0, side, 2 * n).reshape(n, 2))
 
 
 def load_topology(path: str | Path) -> Topology:

@@ -55,6 +55,12 @@ def read_json_object(path: str | os.PathLike[str], kind: str) -> dict:
 MIN_EPSILON = 1e-12
 
 
+def check_count(name: str, value: object, least: int) -> None:
+    """ConfigurationError naming ``name`` unless ``value`` is an int >= ``least``, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {show(value)}")
+
+
 def check_sizes(n: int, size_min: int, size_max: int | None) -> int:
     """Reject sizes below 2, above n, or an empty range; return the largest size (n if None)."""
     if size_min < 2:

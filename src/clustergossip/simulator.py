@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import ClusterCandidate, check_members, per_candidate, per_candidate_costs
-from .errors import ConfigurationError, NumericalError, check_init_range
+from .candidates import (
+    ClusterCandidate, _Streams, check_members, per_candidate, per_candidate_costs,
+)
+from .errors import ConfigurationError, NumericalError, check_count, check_init_range
 
 __all__ = [
     "SimulationScenario",
@@ -29,18 +31,12 @@ __all__ = [
 ]
 
 # monte_carlo holds this many runs' states and streams at once, and draws each
-# run's uniforms this many at a time.
+# run's slot uniforms this many at a time.
 _CHUNK_RUNS = 250
 _BLOCK = 64
 # The widest pool whose clusters monte_carlo averages as one zero-padded row group: numpy sums fewer
 # than 8 terms left to right, so trailing zeros change no sum, but 8 or more pairwise.
 _PADDED_WIDTH = 7
-
-
-def _check_count(name: str, value: object, least: int) -> None:
-    """ConfigurationError naming ``name`` unless ``value`` is an int >= ``least``, not a bool."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
@@ -65,7 +61,7 @@ class SimulationScenario:
         """Check the rules above; ``replace`` runs this too."""
         if not self.threshold > 0:  # NaN too
             raise ConfigurationError(f"threshold must be positive, got {self.threshold}")
-        _check_count("max_iters", self.max_iters, 1)
+        check_count("max_iters", self.max_iters, 1)
         for name, check in (("p", per_candidate), ("costs_l1", per_candidate_costs)):
             object.__setattr__(self, name, check(getattr(self, name), self.candidates, name))
         _cumulative(self.p)
@@ -94,21 +90,29 @@ class AveragedTrace:
 def draw_initial_state(
     n: int, low: float, high: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """I.i.d. uniform readings on [low, high], whose squared norm must be positive and finite.
-
-    The relative error divides by that norm, so a range that ``check_init_range`` refuses, or
-    readings whose squared norm overflows or rounds to 0, are rejected as a bad init_low/init_high.
-    """
+    """I.i.d. uniform readings on [low, high]; the range and the readings' squared norm must pass
+    ``check_init_range`` and ``_squared_norms``, the rules ``monte_carlo`` applies too."""
     check_init_range(low, high)
     y = rng.uniform(low, high, size=n)
+    _squared_norms(y[None], low, high)
+    return y
+
+
+def _squared_norms(y: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Each row's squared norm, rounded as ``relative_error``'s ``y0 @ y0``.
+
+    The relative error divides by that norm, so a row of readings drawn on [low, high] whose
+    squared norm overflows or rounds to 0 is a ConfigurationError naming init_low and init_high.
+    """
     with np.errstate(over="ignore"):
-        norm = y @ y
-    if not 0 < norm < np.inf:
+        norms = np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
+    bad = norms[~((0 < norms) & (norms < np.inf))]  # NaN too
+    if bad.size:
         raise ConfigurationError(
-            f"init_low={low} and init_high={high} drew readings whose squared norm is {norm}, "
+            f"init_low={low} and init_high={high} drew readings whose squared norm is {bad[0]}, "
             "not a positive finite number"
         )
-    return y
+    return norms
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
@@ -154,16 +158,17 @@ def monte_carlo(scenario: SimulationScenario, runs: int, base_seed: int) -> Aver
     """Average independent trials, run r seeded with base_seed + r.
 
     ``runs`` must be an int >= 1 and ``base_seed`` an int >= 0, neither a bool; otherwise a
-    ConfigurationError names the argument. Each run draws its own initial state from its stream,
-    then follows the path that the per-run reference ``run_trial`` in tests/reference.py gives
-    it. Runs advance together, slot by slot, in chunks of ``_CHUNK_RUNS`` over one (C, width)
-    member table, whose row i holds candidate i's members, ascending, padded with n to the widest
-    candidate's size; memory is O(runs + chunk * n + slots + C * width). A finished run holds
-    its final error and energy, i.e. is right-extended as constants in the mean. Energy sums
-    that overflow a float, which finite but huge costs_l1 can give, raise NumericalError.
+    ConfigurationError names the argument. Each run draws its initial state from its stream,
+    ``default_rng(base_seed + r)``'s, as ``draw_initial_state`` would, then follows the path that
+    the per-run reference ``run_trial`` in tests/reference.py gives it. Runs advance together,
+    slot by slot, in chunks of ``_CHUNK_RUNS`` over one (C, width) member table, whose row i
+    holds candidate i's members, ascending, padded with n to the widest candidate's size; memory
+    is O(runs + chunk * n + slots + C * width). A finished run holds its final error and energy,
+    i.e. is right-extended as constants in the mean. Energy sums that overflow a float, which
+    finite but huge costs_l1 can give, raise NumericalError.
     """
-    _check_count("runs", runs, 1)
-    _check_count("base_seed", base_seed, 0)
+    check_count("runs", runs, 1)
+    check_count("base_seed", base_seed, 0)
     cands, n, low, high = scenario.candidates, scenario.n, scenario.init_low, scenario.init_high
     size_of = np.array([cand.size for cand in cands])
     members = np.full((len(cands), size_of.max()), n)
@@ -171,28 +176,25 @@ def monte_carlo(scenario: SimulationScenario, runs: int, base_seed: int) -> Aver
     cumulative = _cumulative(scenario.p)
     total, iterations, finals, terminated = np.zeros((2, 1)), [], [], 0
     for start in range(0, runs, _CHUNK_RUNS):
-        seeds = range(base_seed + start, base_seed + min(start + _CHUNK_RUNS, runs))
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        y = np.array([draw_initial_state(n, low, high, rng) for rng in rngs])
+        streams = _Streams(range(base_seed + start, base_seed + min(start + _CHUNK_RUNS, runs)))
+        y = streams.uniform(low, high, n)
         # Batched, these round as relative_error's y0.mean(), y0 @ y0 and eps @ eps.
         mean0 = y.mean(axis=1)
-        denom = np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
+        denom = _squared_norms(y, low, high)
         y = np.pad(y, [(0, 0), (0, 1)])  # column n, the padding of ``members``, kept at 0
-        error = np.zeros(len(rngs))
-        energy = np.zeros(len(rngs))
-        stop = np.full(len(rngs), scenario.max_iters)
-        live = np.arange(len(rngs))
+        error = np.zeros(len(y))
+        energy = np.zeros(len(y))
+        stop = np.full(len(y), scenario.max_iters)
+        live = np.arange(len(y))
         sums = []
-        block = np.empty((len(rngs), _BLOCK))
+        block = np.empty((len(y), _BLOCK))
         for t in range(scenario.max_iters + 1):
             if live.size == 0:
                 break
             if t:  # slot 0 is the initial state: nothing is drawn, averaged or charged
                 column = (t - 1) % _BLOCK
-                if column == 0:
-                    # Generator.random(k) yields the doubles of k scalar random() calls.
-                    for r in live:
-                        rngs[r].random(out=block[r])
+                if column == 0:  # the doubles of _BLOCK scalar Generator.random() calls
+                    block[live] = streams.random(_BLOCK, live)
                 drawn = np.searchsorted(cumulative, block[live, column], side="right")
                 sizes = size_of[drawn]
                 # Row groups: a narrow pool's live runs at full width, else each size s at width s.
@@ -217,8 +219,8 @@ def monte_carlo(scenario: SimulationScenario, runs: int, base_seed: int) -> Aver
         total = sum(np.pad(a, [(0, 0), (0, slots - a.shape[1])], "edge") for a in (total, sums))
         iterations.append(stop)
         finals.append(energy)
-        terminated += len(rngs) - live.size
-        del rngs, y, block  # so peak memory holds one chunk's streams and states, not two
+        terminated += len(y) - live.size
+        del streams, y, block  # so peak memory holds one chunk's streams and states, not two
     mean_energy = float(np.mean(np.concatenate(finals)))
     if not (np.isfinite(total).all() and math.isfinite(mean_energy)):
         raise NumericalError("simulated energy sums overflow a float: lower the candidate costs")

@@ -80,11 +80,68 @@ def test_two_node_symmetry():
 
 
 @pytest.mark.parametrize(
-    "n,side", [(1, 10.0), (0, 10.0), (5, 0.0), (5, -1.0), (5, float("nan")), (5, float("inf"))]
+    "n,side",
+    [
+        (1, 10.0), (0, 10.0), (5, 0.0), (5, -1.0), (5, float("nan")), (5, float("inf")),
+        (2.5, 10.0), (True, 10.0), ("3", 10.0),  # numpy raised TypeError on the first and last
+    ],
 )
 def test_generate_rejects_bad_parameters(n, side):
     with pytest.raises(ConfigurationError):
         generate_topology(n, side, seed=0)
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 1.5, "7"])
+def test_generate_rejects_a_seed_that_is_not_a_count(seed):
+    """None would draw from OS entropy, True would read as 1, and numpy would raise its own
+    ValueError or TypeError on the others: the package's count rule names the seed instead."""
+    with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+        generate_topology(5, 10.0, seed)
+
+
+# Seeds of 1, 1, 1, 2, 3, 4, 5 and 7 little-endian 32-bit words: SeedSequence hashes fewer than 4
+# as if padded with zeros, and mixes each word past the fourth into its pool one at a time.
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**200 + 3]
+
+
+def test_streams_are_default_rng_bit_for_bit():
+    """All eight seeds in one stream set, read in runs of 1 to 300 draws on changing row subsets,
+    so that rows sit at different places in their streams and a call spans under one, exactly one
+    or several 64-state slices: each row reads exactly its default_rng(seed).random() doubles."""
+    streams = candidates._Streams(ORACLE_SEEDS)
+    oracles = [np.random.default_rng(seed) for seed in ORACLE_SEEDS]
+    pick = np.random.default_rng(0)
+    for k in (1, 5, 64, 300, 1, 63, 5, 64, 300, 2):
+        rows = np.sort(pick.choice(len(ORACLE_SEEDS), pick.integers(1, 9), replace=False))
+        expected = np.array([oracles[r].random(k) for r in rows])
+        assert streams.random(k, rows).tobytes() == expected.tobytes(), (k, rows)
+    expected = np.array([oracle.random(7) for oracle in oracles])
+    assert streams.random(7).tobytes() == expected.tobytes()
+
+
+@given(st.lists(st.integers(0, 2**160), min_size=1, max_size=6), st.integers(1, 150))
+@settings(max_examples=40, deadline=None)
+def test_streams_match_default_rng_on_any_seeds(seeds, k):
+    expected = np.array([np.random.default_rng(seed).random(k) for seed in seeds])
+    assert candidates._Streams(seeds).random(k).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n,side,seed", [(2, 1.0, 0), (30, 50.0, 7), (100, 91.3, 2**64 + 7), (200, 129.1, 2**200 + 3)]
+)
+def test_generated_field_is_default_rng_uniform(n, side, seed):
+    """2n positions from one stream, past one 64-state slice from n = 33 on."""
+    expected = np.random.default_rng(seed).uniform(0.0, side, size=(n, 2))
+    assert generate_topology(n, side, seed).positions.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 31, 300])
+@pytest.mark.parametrize("low,high", [(0.0, 30.0), (-5.0, 5.0), (10.0, 12.0), (7.0, 7.0), (0, 30)])
+def test_stream_uniform_is_default_rng_uniform(low, high, n):
+    """The initial readings of monte_carlo's runs: one row of n per seed, across 2**32."""
+    seeds = [1000, 1001, 2**32 - 2, 2**32 - 1, 2**32]
+    expected = np.array([np.random.default_rng(seed).uniform(low, high, n) for seed in seeds])
+    assert candidates._Streams(seeds).uniform(low, high, n).tobytes() == expected.tobytes()
 
 
 coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)

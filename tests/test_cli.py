@@ -545,6 +545,21 @@ def test_front_end_starts_without_numpy(tmp_path):
     assert modules & {f"clustergossip.{m}" for m in ("cli", "optimizer", "simulator")} == set()
 
 
+def test_pipeline_commands_run_without_numpy_random(tmp_path):
+    """run and candidates draw default_rng's streams themselves: neither loads numpy.random."""
+    (tmp_path / "small.json").write_text(json.dumps({"n_nodes": 8, "alphas": [0.0], "runs": 20}))
+    _, bare = _fresh_imports(["-c", "pass"], tmp_path)
+    for argv, module in (
+        (["run", "--config", "small.json", "--output-dir", "out"], "clustergossip.simulator"),
+        (["candidates", "--config", "small.json"], "clustergossip.candidates"),
+    ):
+        returncode, modules = _fresh_imports(["-m", "clustergossip", *argv], tmp_path)
+        assert returncode == EXIT_OK and module in modules, argv
+        random = {name for name in modules - bare if name.split(".")[:2] == ["numpy", "random"]}
+        assert random == set(), argv
+    assert (tmp_path / "out" / "summary.json").is_file()
+
+
 # The names perfbench/traced_cli.py wraps in clustergossip.cli. It also lists candidate_cost_l1,
 # which cli no longer imports, so the benchmark's pricing count reads 0; mending that belongs to
 # the benchmark (ROADMAP item 1), and the name is left out here.

@@ -624,6 +624,19 @@ def test_monte_carlo_rejects_bad_base_seed(base_seed):
         monte_carlo(_symmetric_scenario(), 5, base_seed)
 
 
+def test_monte_carlo_refuses_initial_readings_as_draw_initial_state_does():
+    """[-1e200, 1e200] passes the range rule, but three readings drawn on it have a squared norm
+    that overflows: monte_carlo's batched draw raises draw_initial_state's error, word for word,
+    for the first such run, and the rule is stated once for both."""
+    scenario = replace(_symmetric_scenario(), init_low=-1e200, init_high=1e200)
+    with pytest.raises(ConfigurationError, match="squared norm is inf") as batched:
+        monte_carlo(scenario, runs=3, base_seed=5)
+    with pytest.raises(ConfigurationError) as single:
+        draw_initial_state(3, -1e200, 1e200, np.random.default_rng(5))
+    assert str(batched.value) == str(single.value)
+    assert "init_low=-1e+200 and init_high=1e+200" in str(batched.value)
+
+
 @pytest.mark.parametrize("low,high", [(2.0, 1.0), (0.0, 0.0), (-1.7e308, 1.7e308)])
 def test_scenario_with_a_bad_initial_range_cannot_be_built(low, high):
     """An empty, all-zero or overflowing initial range fails when the scenario is built."""

@@ -4,9 +4,11 @@ Usage: python3 tools/parent_diff.py [REV]
 
 Exports REV (default HEAD) with ``git archive`` into a temporary directory. Under that tree and
 under the working tree, each with its own ``src`` on PYTHONPATH and one BLAS thread, runs
-``clustergossip run`` on four configs (the defaults, the slow-mixing workload's overrides, a pool
-of at most 5 members, and a 40-node grid) and ``clustergossip candidates`` on three (the
-defaults, the 40-node grid with every size, and 200 nodes). Prints each output file or stdout
+``clustergossip run`` on five configs (the defaults, the slow-mixing workload's overrides, a pool
+of at most 5 members, a 40-node grid, and seeds of several 32-bit words: ``topology_seed``
+2**64 + 7, and 200 runs from ``sim_base_seed`` 2**32 - 100, whose one chunk of streams crosses
+from one-word to two-word seeds) and ``clustergossip candidates`` on three (the defaults, the
+40-node grid with every size, and 200 nodes). Prints each output file or stdout
 that differs and, for a differing summary.json, the keys that differ in each entry. Exits 0 when
 nothing differs, 1 otherwise.
 """
@@ -29,6 +31,7 @@ RUNS = {
     "slow-mixing": {**NARROW, "runs": 1000},
     "narrow": {**NARROW, "runs": 200},
     "grid-40": {"topology_file": GRID_FILE, "cluster_size_max": 12, "alphas": [4e-5], "runs": 200},
+    "multi-word-seeds": {"topology_seed": 2**64 + 7, "sim_base_seed": 2**32 - 100, "runs": 200},
 }
 TABLES = {
     "default": {},
